@@ -211,17 +211,29 @@ def _train_config(cfg: dict) -> TrainConfig:
     return tc
 
 
+def _scan_and_split(root: str, **split_args) -> DatasetManifest:
+    try:
+        return data_mod.split(data_mod.scan_dataset(root), **split_args)
+    except (FileNotFoundError, ValueError) as e:
+        raise ConfigError(str(e)) from e
+
+
 def _load_split_dataset(cfg: dict) -> DatasetManifest:
     root = cfg["data"]["root"]
     if not root:
         raise ConfigError("data.root is required")
-    try:
-        manifest = data_mod.scan_dataset(root)
-    except (FileNotFoundError, ValueError) as e:
-        raise ConfigError(str(e)) from e
-    return data_mod.split(manifest, ratios=tuple(cfg["data"]["ratios"]),
-                          seed=cfg["data"]["split_seed"],
-                          by_group=cfg["data"]["by_group"])
+    return _scan_and_split(root, ratios=tuple(cfg["data"]["ratios"]),
+                           seed=cfg["data"]["split_seed"],
+                           by_group=cfg["data"]["by_group"])
+
+
+def _eval_dataset(root: str, split_name: str, seed: int,
+                  by_group: bool = False) -> DatasetManifest:
+    manifest = _scan_and_split(root, seed=seed, by_group=by_group)
+    if not manifest.indices_for(split_name):
+        raise ConfigError(f"dataset {root} has no {split_name!r} split "
+                          f"({len(manifest.samples)} images are too few)")
+    return manifest
 
 
 def _load_model_for_eval(ckpt_path: str, base_path: str | None):
@@ -314,8 +326,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = _load_model_for_eval(args.checkpoint, args.base)
-    manifest = data_mod.split(data_mod.scan_dataset(args.data),
-                              seed=args.split_seed, by_group=args.by_group)
+    manifest = _eval_dataset(args.data, args.split, args.split_seed, args.by_group)
     augment = AugmentConfig(resize=model.config.image_size)
     report = evaluate(model, manifest, args.split, augment)
     print(report.format_table())
@@ -327,8 +338,7 @@ def cmd_eval(args) -> int:
 
 def cmd_cross_eval(args) -> int:
     models = [_load_model_for_eval(c, args.base) for c in args.checkpoint]
-    datasets = [data_mod.split(data_mod.scan_dataset(d), seed=args.split_seed)
-                for d in args.data]
+    datasets = [_eval_dataset(d, args.split, args.split_seed) for d in args.data]
     names = [Path(d).name for d in args.data]
     matrix = cross_eval(models, datasets, split_name=args.split)
     lines = ["train\\test\t" + "\t".join(names)]

@@ -41,7 +41,12 @@ def _read_pnm_header(data: bytes, magic: bytes) -> tuple[list[int], int]:
             pos += 1
         if start == pos:
             raise ImageFormatError("truncated header")
-        fields.append(int(data[start:pos]))
+        field = data[start:pos]
+        if not field.isdigit():
+            raise ImageFormatError(f"non-numeric header field {field[:16]!r}")
+        fields.append(int(field))
+    if 0 in fields[:2]:
+        raise ImageFormatError(f"empty image ({fields[0]}x{fields[1]})")
     return fields, pos + 1  # single whitespace after maxval
 
 

@@ -152,39 +152,54 @@ class AdapterCheckpoint:
 def load(path: str | Path):
     """Read a checkpoint; returns a Model or an AdapterCheckpoint.
 
-    Verifies the magic, format version, and payload checksum; corruption
-    anywhere raises CheckpointError.
+    Verifies the magic, format version, payload length and checksum;
+    corruption anywhere raises CheckpointError. The payload is read once
+    into a single float32 array and every tensor is a view into it, so a
+    load holds one copy of the file's tensors.
     """
-    data = Path(path).read_bytes()
-    if len(data) < len(MAGIC) + 4 or data[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    header_len = int(np.frombuffer(data, dtype="<u4", count=1,
-                                   offset=len(MAGIC))[0])
-    body_start = len(MAGIC) + 4
-    payload_start = body_start + header_len
-    if len(data) < payload_start:
-        raise CheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(data[body_start:payload_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{path}: unreadable header: {e}") from e
-    if header.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported format version {header.get('format_version')}")
+    with open(path, "rb") as f:
+        prefix = f.read(len(MAGIC) + 4)
+        if len(prefix) < len(MAGIC) + 4 or prefix[: len(MAGIC)] != MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file")
+        header_len = int.from_bytes(prefix[len(MAGIC):], "little")
+        header_bytes = f.read(header_len)
+        if len(header_bytes) < header_len:
+            raise CheckpointError(f"{path}: truncated header")
+        try:
+            header = json.loads(header_bytes.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise CheckpointError(f"{path}: unreadable header: {e}") from e
+        if header.get("format_version") != FORMAT_VERSION:
+            raise CheckpointError(
+                f"{path}: unsupported format version {header.get('format_version')}")
 
-    payload = data[payload_start:]
-    if len(payload) != header["payload_nbytes"]:
-        raise CheckpointError(f"{path}: truncated payload "
-                              f"({len(payload)} of {header['payload_nbytes']} bytes)")
+        nbytes = header["payload_nbytes"]
+        if not isinstance(nbytes, int) or nbytes < 0 or nbytes % 4:
+            raise CheckpointError(f"{path}: payload size {nbytes!r} is not float32")
+        on_disk = os.fstat(f.fileno()).st_size - f.tell()
+        if on_disk > nbytes:
+            raise CheckpointError(f"{path}: {on_disk - nbytes} trailing bytes "
+                                  f"after the payload")
+        payload = np.empty(nbytes // 4, dtype="<f4")
+        got = f.readinto(payload)
+        if got != nbytes:
+            raise CheckpointError(f"{path}: truncated payload "
+                                  f"({got} of {nbytes} bytes)")
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise CheckpointError(f"{path}: payload checksum mismatch")
 
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
         size = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        arr = np.frombuffer(payload, dtype="<f4", count=size,
-                            offset=entry["offset"])
-        tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
+        offset = entry["offset"]
+        # views must start on a float32 boundary of the aligned payload array
+        if (not isinstance(offset, int) or offset % 4 or offset < 0
+                or offset // 4 + size > payload.size):
+            raise CheckpointError(
+                f"{path}: tensor {entry['name']!r} at byte offset {offset} "
+                f"does not fit the float32 payload")
+        start = offset // 4
+        tensors[entry["name"]] = payload[start:start + size].reshape(entry["shape"])
 
     config = ModelConfig.from_dict(header["model_config"])
     class_names = header.get("class_names")

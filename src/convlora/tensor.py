@@ -187,7 +187,9 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """y[..., i] = sum_j w[i, j] * x[..., j] (+ b[i]).
 
-    Any number of leading axes is treated as batch.
+    Any number of leading axes is treated as batch: they are flattened into
+    one row axis, so the forward and the x and w gradients are each one 2-D
+    GEMM, however many leading axes the input has.
     """
     if w.data.ndim != 2:
         raise ShapeError(f"linear: weight must be 2-D, got {w.shape}")
@@ -197,15 +199,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.shape != (d,):
         raise ShapeError(f"linear: bias shape {b.shape} does not match ({d},)")
 
-    y = x.data @ w.data.T
+    rows = x.data.reshape(-1, k)
+    y = rows @ w.data.T
     if b is not None:
         y = y + b.data
+    y = y.reshape(*x.shape[:-1], d)
 
     def vjp_x(g):
-        return g @ w.data
+        return (g.reshape(-1, d) @ w.data).reshape(x.shape)
 
     def vjp_w(g):
-        return g.reshape(-1, d).T @ x.data.reshape(-1, k)
+        return g.reshape(-1, d).T @ rows
 
     if b is None:
         return _node(y, "linear", (x, w), (vjp_x, vjp_w))
@@ -283,10 +287,31 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor | None = None,
                  (vjp_x, vjp_k, lambda g: g.sum(axis=(0, 2, 3))))
 
 
+def _live_taps(size: int, ksz: int, pad: int) -> tuple[int, int]:
+    # [start, stop) of the kernel taps along one axis that reach real input
+    # at some output position; the taps outside it only ever see padding
+    out = size + 2 * pad - ksz + 1
+    return max(0, pad - out + 1), min(ksz, pad + size)
+
+
+def _pad_hw(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
+    # zero-pad the spatial axes of an NCHW array; a negative amount crops
+    h, w = a.shape[2:]
+    a = a[:, :, max(0, -top):h - max(0, -bottom), max(0, -left):w - max(0, -right)]
+    return np.pad(a, ((0, 0), (0, 0), (max(0, top), max(0, bottom)),
+                      (max(0, left), max(0, right))))
+
+
 def depthwise_conv2d(x: Tensor, k: Tensor, b: Tensor | None = None,
                      pad: int = 0) -> Tensor:
     """Per-channel cross-correlation: channel c of the output sees only
     channel c of the input. Kernel layout [C, 1, kh, kw], stride 1.
+
+    Taps that only ever see zero padding (a map smaller than the kernel's
+    reach, e.g. 7x7 taps at pad 3 on a 1x1 or 2x2 map) are skipped: the
+    input is padded only as far as the remaining taps reach, and the kernel
+    gradient of a skipped tap is exactly zero. The input gradient is
+    computed at the H x W input positions only, never over the padding.
     """
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise ShapeError("depthwise_conv2d: input and kernel must be 4-D")
@@ -300,23 +325,27 @@ def depthwise_conv2d(x: Tensor, k: Tensor, b: Tensor | None = None,
     if h + 2 * pad - kh + 1 < 1 or w + 2 * pad - kw + 1 < 1:
         raise ShapeError("depthwise_conv2d: kernel larger than padded input")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = _windows(xp, kh, kw, 1)
-    y = np.einsum("nchwpq,cpq->nchw", win, k.data[:, 0])
+    i0, i1 = _live_taps(h, kh, pad)
+    j0, j1 = _live_taps(w, kw, pad)
+    kl = k.data[:, 0, i0:i1, j0:j1]
+    xp = _pad_hw(x.data, pad - i0, i1 + pad - kh, pad - j0, j1 + pad - kw)
+    win = _windows(xp, i1 - i0, j1 - j0, 1)
+    y = np.einsum("nchwpq,cpq->nchw", win, kl)
     if b is not None:
         y = y + b.data[None, :, None, None]
 
     def vjp_x(g):
-        kf = np.flip(k.data[:, 0], axis=(1, 2))
-        gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-        gwin = _windows(gp, kh, kw, 1)
-        dxp = np.einsum("nchwpq,cpq->nchw", gwin, kf)
-        if pad:
-            return dxp[:, :, pad:pad + h, pad:pad + w]
-        return dxp
+        # full correlation with the flipped live kernel, restricted to the
+        # H x W input positions: pad (or crop) g by what the taps reach
+        gp = _pad_hw(g, i1 - 1 - pad, kh - 1 - pad - i0,
+                     j1 - 1 - pad, kw - 1 - pad - j0)
+        gwin = _windows(gp, i1 - i0, j1 - j0, 1)
+        return np.einsum("nchwpq,cpq->nchw", gwin, np.flip(kl, axis=(1, 2)))
 
     def vjp_k(g):
-        return np.einsum("nchwpq,nchw->cpq", win, g)[:, None]
+        dk = np.zeros_like(k.data)
+        dk[:, 0, i0:i1, j0:j1] = np.einsum("nchwpq,nchw->cpq", win, g)
+        return dk
 
     if b is None:
         return _node(y, "depthwise_conv2d", (x, k), (vjp_x, vjp_k))

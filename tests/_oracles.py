@@ -85,3 +85,38 @@ def closed_form_backbone_count(depths, dims, num_classes, in_channels=3, mlp=4):
         total += depths[s] * per_block
     total += 2 * dims[3] + num_classes * dims[3] + num_classes
     return total
+
+
+def depthwise_conv2d_loops(x, k, pad):
+    """Per-channel cross-correlation as explicit loops over output
+    positions and kernel taps; out-of-range input reads count as zero."""
+    n, c, h, w = x.shape
+    kh, kw = k.shape[2:]
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    y = np.zeros((n, c, ho, wo))
+    for i in range(ho):
+        for j in range(wo):
+            for p in range(kh):
+                for q in range(kw):
+                    r, s = i + p - pad, j + q - pad
+                    if 0 <= r < h and 0 <= s < w:
+                        y[:, :, i, j] += k[:, 0, p, q] * x[:, :, r, s]
+    return y
+
+
+def depthwise_conv2d_vjps_loops(x, k, g, pad):
+    """Input and kernel gradients of ``depthwise_conv2d_loops`` for an
+    upstream gradient g, by the same loops."""
+    n, c, h, w = x.shape
+    kh, kw = k.shape[2:]
+    dx = np.zeros(x.shape)
+    dk = np.zeros(k.shape)
+    for i in range(g.shape[2]):
+        for j in range(g.shape[3]):
+            for p in range(kh):
+                for q in range(kw):
+                    r, s = i + p - pad, j + q - pad
+                    if 0 <= r < h and 0 <= s < w:
+                        dx[:, :, r, s] += k[:, 0, p, q] * g[:, :, i, j]
+                        dk[:, 0, p, q] += (x[:, :, r, s] * g[:, :, i, j]).sum(axis=0)
+    return dx, dk

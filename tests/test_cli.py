@@ -147,6 +147,21 @@ class TestEval:
         assert code == 0
 
 
+    @pytest.mark.filterwarnings("ignore:class .* has only")
+    @pytest.mark.parametrize("command", ["eval", "cross-eval"])
+    def test_missing_split_exits_2(self, trained, tmp_path, capsys, command):
+        tiny = tmp_path / "tiny"
+        assert run(["synth", "--out", str(tiny), "--classes", "2",
+                    "--per-class", "2", "--seed", "3"]) == 0
+        capsys.readouterr()
+        code = run([command, "--checkpoint", str(trained["base"]),
+                    "--data", str(tiny), "--split", "test"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'test'" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestCrossEval:
     def test_matrix_layout(self, dataset, trained, tmp_path, capsys):
         out = tmp_path / "matrix.tsv"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from convlora import data as D
@@ -49,6 +49,24 @@ class TestPpmCodec:
         (tmp_path / "bad.ppm").write_bytes(b"P3\n1 1\n255\n0 0 0\n")
         with pytest.raises(I.ImageFormatError):
             I.read_ppm(tmp_path / "bad.ppm")
+
+    def test_non_numeric_header_field(self, tmp_path):
+        (tmp_path / "bad.ppm").write_bytes(b"P6 abc 4 255\n" + bytes(48))
+        with pytest.raises(I.ImageFormatError):
+            I.read_ppm(tmp_path / "bad.ppm")
+
+    @given(magic=st.sampled_from([b"P6", b"P5"]), rest=st.binary(max_size=64))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_arbitrary_bytes_raise_only_image_format_error(self, tmp_path, magic, rest):
+        path = tmp_path / "fuzz.pnm"
+        path.write_bytes(magic + rest)
+        read = I.read_ppm if magic == b"P6" else I.read_pgm
+        try:
+            img = read(path)
+        except I.ImageFormatError:
+            return
+        assert img.dtype == np.uint8 and img.size > 0
 
     def test_png_when_pillow_available(self, tmp_path):
         pil = pytest.importorskip("PIL.Image")

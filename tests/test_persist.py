@@ -1,5 +1,8 @@
 """Checkpoint round-trip, determinism, and corruption-detection tests."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,48 @@ class TestBaseCheckpoint:
         path.write_bytes(b"hello world, definitely not a checkpoint")
         with pytest.raises(CheckpointError):
             persist.load(path)
+
+    def test_trailing_bytes_detected(self, toy_model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        persist.save(toy_model, path)
+        path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
+            persist.load(path)
+
+    def test_short_payload_detected(self, toy_model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        persist.save(toy_model, path)
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(CheckpointError, match="truncated payload"):
+            persist.load(path)
+
+    def test_unaligned_offset_rejected(self, toy_model, tmp_path):
+        # the checksum covers only the payload, so this header edit passes it
+        path = tmp_path / "m.ckpt"
+        persist.save(toy_model, path)
+        blob = path.read_bytes()
+        header_len = int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12:12 + header_len])
+        header["tensors"][1]["offset"] += 2
+        raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw
+                         + blob[12 + header_len:])
+        with pytest.raises(CheckpointError, match="offset"):
+            persist.load(path)
+
+    def test_one_copy_of_the_payload(self, toy_model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        persist.save(toy_model, path)
+        payload_bytes = sum(t.data.size * 4 for t in toy_model.params.values())
+        tracemalloc.start()
+        try:
+            loaded = persist.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * payload_bytes
+        buffers = {id(t.data.base) for t in loaded.params.values()}
+        assert len(buffers) == 1 and loaded.params["head.bias"].data.base is not None
 
     def test_explicit_kind_mismatch(self, toy_model, tmp_path):
         with pytest.raises(ValueError):

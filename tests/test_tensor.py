@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import depthwise_conv2d_loops, depthwise_conv2d_vjps_loops
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convlora import tensor as T
 
@@ -124,6 +127,74 @@ class TestDepthwiseConv2d:
         with pytest.raises(T.ShapeError):
             T.depthwise_conv2d(T.Tensor(np.zeros((1, 3, 8, 8))),
                                T.Tensor(np.zeros((2, 1, 3, 3))), pad=1)
+
+
+def _full_kernel_forward(x, k, pad):
+    # every tap over the symmetrically padded input, dead ones included
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, k.shape[2:], axis=(2, 3))
+    return np.einsum("nchwpq,cpq->nchw", win, k[:, 0])
+
+
+def _crop_after_pad_vjp_x(k, g, pad, h, w):
+    # full correlation over the whole padded extent, then cropped to H x W
+    kh, kw = k.shape[2:]
+    gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    gwin = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(2, 3))
+    dxp = np.einsum("nchwpq,cpq->nchw", gwin, np.flip(k[:, 0], axis=(1, 2)))
+    return dxp[:, :, pad:pad + h, pad:pad + w]
+
+
+# (channels, map size) of every block the backbone runs on 32 px inputs, in
+# the tiny (dims 8-64) and base (dims 128-1024) configs; 7x7 taps at pad 3
+BLOCK_SHAPES = [(8, 8), (16, 4), (32, 2), (64, 1),
+                (128, 8), (256, 4), (512, 2), (1024, 1)]
+
+
+class TestDepthwiseKernelPaths:
+    @pytest.mark.parametrize("n", [32, 4])
+    @pytest.mark.parametrize("c,hw", BLOCK_SHAPES)
+    def test_bitwise_equal_to_full_padded_formulas(self, n, c, hw):
+        rng = np.random.default_rng(c + hw + n)
+        x = rng.normal(size=(n, c, hw, hw)).astype(np.float32)
+        k = (0.1 * rng.normal(size=(c, 1, 7, 7))).astype(np.float32)
+        y = T.depthwise_conv2d(T.Tensor(x, requires_grad=True), T.Tensor(k), pad=3)
+        assert np.array_equal(y.data, _full_kernel_forward(x, k, 3))
+        g = rng.normal(size=y.shape).astype(np.float32)
+        assert np.array_equal(y._vjps[0](g), _crop_after_pad_vjp_x(k, g, 3, hw, hw))
+
+    @pytest.mark.parametrize("hw,live", [(1, slice(3, 4)), (2, slice(2, 5))])
+    def test_kernel_gradient_exactly_zero_on_dead_taps(self, hw, live):
+        rng = np.random.default_rng(hw)
+        x = rng.normal(size=(2, 3, hw, hw))
+        k = t64(rng.normal(size=(3, 1, 7, 7)))
+        g = rng.normal(size=(2, 3, hw, hw))
+        T.depthwise_conv2d(t64(x, False), k, pad=3).backward(g)
+        dead = np.ones((7, 7), dtype=bool)
+        dead[live, live] = False
+        assert np.all(k.grad[:, 0, dead] == 0.0)
+        _, dk = depthwise_conv2d_vjps_loops(x, k.data, g, 3)
+        np.testing.assert_allclose(k.grad, dk, rtol=1e-12, atol=1e-12)
+
+    @given(n=st.integers(1, 2), c=st.integers(1, 3), h=st.integers(1, 6),
+           w=st.integers(1, 6), kh=st.integers(1, 5), kw=st.integers(1, 5),
+           pad=st.integers(0, 5), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_float64_loop_reference(self, n, c, h, w, kh, kw, pad, seed):
+        if h + 2 * pad < kh or w + 2 * pad < kw:
+            return
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c, h, w))
+        k = rng.normal(size=(c, 1, kh, kw))
+        xt, kt = t64(x), t64(k)
+        y = T.depthwise_conv2d(xt, kt, pad=pad)
+        np.testing.assert_allclose(y.data, depthwise_conv2d_loops(x, k, pad),
+                                   rtol=1e-12, atol=1e-12)
+        g = rng.normal(size=y.shape)
+        y.backward(g)
+        dx, dk = depthwise_conv2d_vjps_loops(x, k, g, pad)
+        np.testing.assert_allclose(xt.grad, dx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(kt.grad, dk, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +377,28 @@ class TestGradCheck:
             b = t64(rng.normal(size=3))
             err = T.grad_check(lambda *a: T.tsum(T.linear(*a)), [x, w, b])
             assert err < 1e-7
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (2, 2, 1, 5)])
+    def test_linear_leading_axes(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x = t64(rng.normal(size=shape))
+        w = t64(rng.normal(size=(4, 5)))
+        b = t64(rng.normal(size=4))
+        assert T.grad_check(lambda *a: T.tsum(T.linear(*a)), [x, w, b]) < 1e-7
+
+    @pytest.mark.parametrize("hw,ksz,pad", [(1, 7, 3), (2, 7, 3), (4, 7, 3),
+                                            (5, 3, 0), (2, 3, 4)])
+    def test_depthwise_padding_regimes(self, hw, ksz, pad):
+        rng = np.random.default_rng(hw * ksz + pad)
+        x = t64(rng.normal(size=(2, 3, hw, hw)))
+        k = t64(rng.normal(size=(3, 1, ksz, ksz)))
+        b = t64(rng.normal(size=3))
+
+        def f(a, c, d):
+            # gelu makes the upstream gradient differ at every output position
+            return T.tsum(T.gelu(T.depthwise_conv2d(a, c, d, pad=pad)))
+
+        assert T.grad_check(f, [x, k, b]) < 1e-7
 
     def test_gelu_at_half(self):
         x = t64([0.5])
