@@ -164,23 +164,18 @@ class Model:
     params: dict[str, Tensor] = field(repr=False)
     class_names: list[str] | None = None
 
-    def copy(self) -> "Model":
-        return self.astype(None)
-
     def astype(self, dtype) -> "Model":
-        out: dict[str, Tensor] = {}
-        for name, t in self.params.items():
-            out[name] = t.astype(dtype if dtype is not None else t.dtype)
+        params = {name: t.astype(dtype) for name, t in self.params.items()}
         names = list(self.class_names) if self.class_names is not None else None
-        return Model(self.config, out, names)
+        return Model(self.config, params, names)
 
-    def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.zero_grad()
 
-    def set_trainable(self, flag: bool) -> None:
-        for t in self.params.values():
-            t.requires_grad = flag
+def frozen_view(t: Tensor) -> Tensor:
+    """A frozen leaf over a read-only view of ``t``'s array: the memory is
+    shared, and an in-place write through the view raises ValueError."""
+    view = t.data.view()
+    view.flags.writeable = False
+    return Tensor(view)
 
 
 def build_model(config: ModelConfig, seed: int = 0,
@@ -229,15 +224,13 @@ def _plain_linear(_name: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return T.linear(x, w, b)
 
 
-def forward(model: Model, x: Tensor, train_mode: bool = False,
-            linear_op: LinearOp | None = None) -> Tensor:
+def forward(model: Model, x: Tensor, linear_op: LinearOp | None = None) -> Tensor:
     """Logits for a batch of [N, in_channels, S, S] images, S = image_size.
 
     ``linear_op`` lets adapter-aware callers intercept the block projection
     layers; everything else always runs the plain path. The base network has
-    no stochastic layers, so train_mode only matters to such interceptors.
+    no stochastic layers, so only such interceptors need a train mode.
     """
-    del train_mode
     cfg = model.config
     if x.data.ndim != 4 or x.shape[1] != cfg.in_channels \
             or x.shape[2] != cfg.image_size or x.shape[3] != cfg.image_size:

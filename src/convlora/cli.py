@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import images, persist, training
-from .backbone import ModelConfig, build_model, param_shapes, saliency
+from .backbone import Model, ModelConfig, build_model, param_shapes, saliency
 from .data import AugmentConfig, DatasetManifest
 from .errors import CompatibilityError, ConfigError, TrainingDiverged
 from .lora import (adapter_param_count, count_params, inject, merged_model,
@@ -236,17 +236,29 @@ def _eval_dataset(root: str, split_name: str, seed: int,
     return manifest
 
 
-def _load_model_for_eval(ckpt_path: str, base_path: str | None):
-    loaded = persist.load(ckpt_path)
-    if isinstance(loaded, persist.AdapterCheckpoint):
-        if base_path is None:
-            raise ConfigError(
-                f"{ckpt_path} is an adapter checkpoint; pass --base")
-        base = persist.load(base_path)
-        if not hasattr(base, "params"):
-            raise ConfigError(f"--base {base_path} is not a base checkpoint")
-        return loaded.attach(base)
-    return loaded
+def _load_base(path: str, option: str = "--base") -> Model:
+    base = persist.load(path)
+    if not isinstance(base, Model):
+        raise ConfigError(f"{option} {path} is not a base checkpoint")
+    return base
+
+
+def _load_models_for_eval(ckpt_paths: list[str], base_path: str | None) -> list:
+    """Load every checkpoint; adapter checkpoints attach to one base, read
+    from ``base_path`` at most once and shared by all of them."""
+    base = None
+    models = []
+    for ckpt_path in ckpt_paths:
+        loaded = persist.load(ckpt_path)
+        if isinstance(loaded, persist.AdapterCheckpoint):
+            if base_path is None:
+                raise ConfigError(
+                    f"{ckpt_path} is an adapter checkpoint; pass --base")
+            if base is None:
+                base = _load_base(base_path)
+            loaded = loaded.attach(base)
+        models.append(loaded)
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +296,7 @@ def cmd_train(args) -> int:
     train_cfg = _train_config(cfg)
 
     if cfg["init_from"]:
-        base = persist.load(cfg["init_from"])
-        if not hasattr(base, "params"):
-            raise ConfigError(f"init_from {cfg['init_from']} is not a base checkpoint")
+        base = _load_base(cfg["init_from"], "init_from")
     else:
         base = build_model(model_config, seed=cfg["model"]["seed"],
                            class_names=manifest.class_names)
@@ -325,7 +335,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _load_model_for_eval(args.checkpoint, args.base)
+    model = _load_models_for_eval([args.checkpoint], args.base)[0]
     manifest = _eval_dataset(args.data, args.split, args.split_seed, args.by_group)
     augment = AugmentConfig(resize=model.config.image_size)
     report = evaluate(model, manifest, args.split, augment)
@@ -337,7 +347,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cross_eval(args) -> int:
-    models = [_load_model_for_eval(c, args.base) for c in args.checkpoint]
+    models = _load_models_for_eval(args.checkpoint, args.base)
     datasets = [_eval_dataset(d, args.split, args.split_seed) for d in args.data]
     names = [Path(d).name for d in args.data]
     matrix = cross_eval(models, datasets, split_name=args.split)
@@ -353,9 +363,7 @@ def cmd_cross_eval(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    base = persist.load(args.base)
-    if not hasattr(base, "params"):
-        raise ConfigError(f"{args.base} is not a base checkpoint")
+    base = _load_base(args.base)
     adapter = persist.load(args.adapter)
     if not isinstance(adapter, persist.AdapterCheckpoint):
         raise CompatibilityError(f"{args.adapter} is not an adapter checkpoint")
@@ -366,7 +374,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_saliency(args) -> int:
-    model = _load_model_for_eval(args.checkpoint, args.base)
+    model = _load_models_for_eval([args.checkpoint], args.base)[0]
     raw = images.read_image(args.image).astype(np.float32)
     size = model.config.image_size
     img = images.resize_bilinear(raw, size, size)
@@ -391,7 +399,7 @@ def cmd_saliency(args) -> int:
 
 def cmd_params(args) -> int:
     if args.checkpoint:
-        loaded = _load_model_for_eval(args.checkpoint, args.base)
+        loaded = _load_models_for_eval([args.checkpoint], args.base)[0]
         counts = count_params(loaded)
     else:
         cfg = resolve_config(args)

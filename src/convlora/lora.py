@@ -9,13 +9,14 @@ as a plain linear layer.
 
 Injection freezes every base parameter, reinitializes the classification
 head for the task's class count, and leaves exactly {all A, all B, head
-weight, head bias} trainable.
+weight, head bias} trainable. The frozen tensors are read-only views of the
+source model's arrays, so any number of adapted models hold one base.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,18 +72,9 @@ class PeftModel:
         out["head.bias"] = self.base.params["head.bias"]
         return out
 
-    def zero_grad(self) -> None:
-        self.base.zero_grad()
-        for ad in self.adapters.values():
-            ad.A.zero_grad()
-            ad.B.zero_grad()
-
     def astype(self, dtype) -> "PeftModel":
         return PeftModel(self.base.astype(dtype),
                          {k: ad.astype(dtype) for k, ad in self.adapters.items()})
-
-    def copy(self) -> "PeftModel":
-        return self.astype(None)
 
 
 def init_adapter(d: int, k: int, r: int, alpha: float, dropout_p: float,
@@ -135,10 +127,10 @@ def inject(model: Model, targets: tuple[str, ...] = DEFAULT_TARGETS,
     With the base's class count the head keeps its weights, so the freshly
     injected model computes exactly what the base does (every delta starts at
     zero); a different ``num_classes`` swaps in a freshly initialized head.
-    The input model is not modified; the returned PeftModel owns a copy.
+    The input model is not modified: the returned PeftModel shares its frozen
+    tensors read-only and copies only what trains, the head.
     """
-    base = model.copy()
-    layer_shapes = backbone.linear_layer_shapes(base.config)
+    layer_shapes = backbone.linear_layer_shapes(model.config)
     matched = {name: dk for name, dk in layer_shapes.items()
                if name.rsplit(".", 1)[-1] in targets}
     if not matched:
@@ -150,35 +142,37 @@ def inject(model: Model, targets: tuple[str, ...] = DEFAULT_TARGETS,
                                      seed_seq.spawn(len(matched))):
         adapters[name] = init_adapter(d, k, r, alpha, dropout_p,
                                       seed=child.entropy, target=name)
+    return PeftModel(base=_task_base(model, seed, num_classes), adapters=adapters)
 
-    for t in base.params.values():
-        t.requires_grad = False
 
-    if num_classes is not None and num_classes != base.config.num_classes:
-        head_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6EAD]))
-        dim = base.config.dims[3]
-        base.params["head.weight"] = Tensor(trunc_normal(head_rng, (num_classes, dim)),
-                                            requires_grad=True)
-        base.params["head.bias"] = Tensor(np.zeros(num_classes, dtype=np.float32),
-                                          requires_grad=True)
-        base.config = ModelConfig(depths=base.config.depths, dims=base.config.dims,
-                                  num_classes=num_classes,
-                                  in_channels=base.config.in_channels,
-                                  image_size=base.config.image_size,
-                                  mlp_ratio=base.config.mlp_ratio)
-    else:
-        base.params["head.weight"].requires_grad = True
-        base.params["head.bias"].requires_grad = True
-    return PeftModel(base=base, adapters=adapters)
+def with_trainable_head(model: Model, head_weight: np.ndarray,
+                        head_bias: np.ndarray, **fields) -> Model:
+    """``model`` with every tensor a frozen read-only view of its array,
+    except a trainable head that takes over the given arrays; ``fields``
+    replace other Model fields (config, class_names)."""
+    params = {name: backbone.frozen_view(t) for name, t in model.params.items()}
+    params["head.weight"] = Tensor(head_weight, requires_grad=True)
+    params["head.bias"] = Tensor(head_bias, requires_grad=True)
+    return replace(model, params=params, **fields)
+
+
+def _task_base(model: Model, seed: int, num_classes: int | None) -> Model:
+    """The frozen base with a trainable head: a copy of the model's own, or a
+    fresh one seeded by (seed, 0x6EAD) for a different class count."""
+    if num_classes is None or num_classes == model.config.num_classes:
+        return with_trainable_head(model, model.params["head.weight"].data.copy(),
+                                   model.params["head.bias"].data.copy())
+    head_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6EAD]))
+    return with_trainable_head(
+        model, trunc_normal(head_rng, (num_classes, model.config.dims[3])),
+        np.zeros(num_classes, dtype=np.float32),
+        config=replace(model.config, num_classes=num_classes))
 
 
 def head_only(model: Model, seed: int = 0, num_classes: int | None = None) -> PeftModel:
     """Frozen backbone with only a fresh head trainable (no adapters);
     the fine-tuning baseline."""
-    peft = inject(model, r=1, alpha=1.0, dropout_p=0.0, seed=seed,
-                  num_classes=num_classes)
-    peft.adapters = {}
-    return peft
+    return PeftModel(base=_task_base(model, seed, num_classes), adapters={})
 
 
 def peft_forward(peft: PeftModel, x: Tensor, train_mode: bool = False,
@@ -191,7 +185,7 @@ def peft_forward(peft: PeftModel, x: Tensor, train_mode: bool = False,
             return T.linear(xx, w, b)
         return adapted_linear(xx, w, b, ad, train_mode=train_mode, rng=rng)
 
-    return backbone.forward(peft.base, x, train_mode=train_mode, linear_op=lin)
+    return backbone.forward(peft.base, x, linear_op=lin)
 
 
 def model_forward(model, x: Tensor, train_mode: bool = False,
@@ -199,18 +193,19 @@ def model_forward(model, x: Tensor, train_mode: bool = False,
     """Forward for either a plain Model or a PeftModel."""
     if isinstance(model, PeftModel):
         return peft_forward(model, x, train_mode=train_mode, rng=rng)
-    return backbone.forward(model, x, train_mode=train_mode)
+    return backbone.forward(model, x)
 
 
 def merged_model(peft: PeftModel) -> Model:
-    """Fold every adapter into its frozen weight, yielding a plain model
-    whose eval-mode forward matches the adapted forward."""
-    out = peft.base.copy()
-    for name, ad in peft.adapters.items():
-        w = out.params[name + ".weight"]
-        w.data = merge(w.data, ad)
-    out.set_trainable(True)
-    return out
+    """Fold every adapter into its frozen weight, yielding a plain, fully
+    trainable model whose eval-mode forward matches the adapted forward. The
+    result shares no array with ``peft``."""
+    params = {}
+    for name, t in peft.base.params.items():
+        ad = peft.adapters.get(name.removesuffix(".weight"))
+        data = merge(t.data, ad) if ad is not None else t.data.copy()
+        params[name] = Tensor(data, requires_grad=True)
+    return replace(peft.base, params=params)
 
 
 def count_params(model) -> dict[str, int]:

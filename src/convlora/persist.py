@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import Model, ModelConfig, param_shapes
+from .backbone import Model, ModelConfig, linear_layer_shapes, param_shapes
 from .errors import CompatibilityError
-from .lora import LoraAdapter, PeftModel
+from .lora import LoraAdapter, PeftModel, with_trainable_head
 from .tensor import Tensor
 
 MAGIC = b"CVLORA01"
@@ -69,9 +69,11 @@ def save(obj, path: str | Path, kind: str | None = None) -> None:
     entries, payload_nbytes = _tensor_entries(
         [(n, a) for (n, _), a in zip(named, arrays)])
 
+    # contiguous little-endian arrays go to the hash and the file through
+    # the buffer protocol, without a bytes copy of each tensor
     digest = hashlib.sha256()
     for arr in arrays:
-        digest.update(arr.tobytes())
+        digest.update(arr)
 
     config = obj.config if isinstance(obj, Model) else obj.base.config
     class_names = obj.class_names
@@ -96,7 +98,7 @@ def save(obj, path: str | Path, kind: str | None = None) -> None:
         f.write(np.uint32(len(header_bytes)).tobytes())
         f.write(header_bytes)
         for arr in arrays:
-            f.write(arr.tobytes())
+            f.write(arr)
     os.replace(tmp, path)
 
 
@@ -110,26 +112,17 @@ class AdapterCheckpoint:
     tensors: dict[str, np.ndarray]
 
     def attach(self, base: Model) -> PeftModel:
-        """Rebuild the PeftModel this checkpoint was saved from."""
+        """Rebuild the PeftModel this checkpoint was saved from. It shares
+        the base's frozen tensors read-only and copies only what trains: the
+        adapters and the head."""
         for field in ("depths", "dims", "in_channels", "image_size", "mlp_ratio"):
             if getattr(base.config, field) != getattr(self.model_config, field):
                 raise CompatibilityError(
                     f"adapter checkpoint expects {field}="
                     f"{getattr(self.model_config, field)}, base has "
                     f"{getattr(base.config, field)}")
-        out = base.copy()
-        for t in out.params.values():
-            t.requires_grad = False
-        out.params["head.weight"] = Tensor(self.tensors["head.weight"].copy(),
-                                           requires_grad=True)
-        out.params["head.bias"] = Tensor(self.tensors["head.bias"].copy(),
-                                         requires_grad=True)
-        out.config = self.model_config
-        out.class_names = list(self.class_names) if self.class_names else None
-
         adapters: dict[str, LoraAdapter] = {}
         if self.lora:
-            from .backbone import linear_layer_shapes
             layer_shapes = linear_layer_shapes(self.model_config)
             for target in self.lora["targets"]:
                 a = self.tensors[f"lora.{target}.A"]
@@ -146,7 +139,10 @@ class AdapterCheckpoint:
                     B=Tensor(b.copy(), requires_grad=True),
                     rank=self.lora["rank"], alpha=self.lora["alpha"],
                     dropout_p=self.lora["dropout_p"], target=target)
-        return PeftModel(base=out, adapters=adapters)
+        frozen = with_trainable_head(
+            base, self.tensors["head.weight"].copy(), self.tensors["head.bias"].copy(),
+            config=self.model_config, class_names=self.class_names or None)
+        return PeftModel(base=frozen, adapters=adapters)
 
 
 def load(path: str | Path):

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .backbone import Model
+from .backbone import frozen_view
 from .data import AugmentConfig, DatasetManifest, load_batch
 from .errors import CompatibilityError, TrainingDiverged
 from .lora import PeftModel, model_forward
@@ -116,11 +116,18 @@ def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 
 
 def _restore(model, snapshot: dict[str, np.ndarray]):
-    out = model.copy()
-    live = trainable_params(out)
-    for name, data in snapshot.items():
-        live[name].data = data.copy()
-    return out
+    """The model at the snapshot's weights: its trainables take over the
+    snapshot arrays, and its frozen tensors are shared read-only."""
+    def leaf(name: str, t: Tensor) -> Tensor:
+        if name in snapshot:
+            return Tensor(snapshot[name], requires_grad=True)
+        return frozen_view(t)
+
+    if isinstance(model, PeftModel):
+        return replace(model, base=_restore(model.base, snapshot), adapters={
+            name: replace(ad, A=leaf(f"lora.{name}.A", ad.A), B=leaf(f"lora.{name}.B", ad.B))
+            for name, ad in model.adapters.items()})
+    return replace(model, params={n: leaf(n, t) for n, t in model.params.items()})
 
 
 def train(model, manifest: DatasetManifest, cfg: TrainConfig,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from convlora import images as I
-from convlora import persist
+from convlora import cli, persist
 from convlora.cli import main
 
 
@@ -181,6 +181,38 @@ class TestCrossEval:
                     "--data", str(dataset), "--out", str(out)]) == 0
         cell = float(out.read_text().splitlines()[1].split("\t")[1])
         assert 0.0 <= cell <= 100.0
+
+
+    def test_adapters_share_one_base(self, dataset, trained, tmp_path, monkeypatch):
+        second = tmp_path / "second"
+        assert run(_toy_train_args(
+            dataset, second,
+            ["--lora.rank", "2", "--lora.alpha", "4", "--lora.dropout", "0.0",
+             "--model.seed", "3", "--init_from", str(trained["base"])])) == 0
+        adapters = [str(trained["adapter"]), str(second / "adapter.ckpt")]
+        base = str(trained["base"])
+
+        def rows(checkpoints, out):
+            argv = ["cross-eval", "--base", base, "--data", str(dataset),
+                    "--data", str(dataset), "--out", str(out)]
+            for c in checkpoints:
+                argv += ["--checkpoint", c]
+            assert run(argv) == 0
+            return [line.split("\t")[1:] for line in out.read_text().splitlines()[1:]]
+
+        alone = [rows([a], tmp_path / f"alone{i}.tsv")[0] for i, a in enumerate(adapters)]
+        loads, models = [], []
+        real_load, real_cross_eval = persist.load, cli.cross_eval
+        monkeypatch.setattr(persist, "load",
+                            lambda path: loads.append(str(path)) or real_load(path))
+        monkeypatch.setattr(cli, "cross_eval", lambda ms, *a, **k:
+                            models.extend(ms) or real_cross_eval(ms, *a, **k))
+        assert rows(adapters, tmp_path / "both.tsv") == alone
+        assert loads.count(base) == 1
+        first, other = models
+        for name, t in first.base.params.items():
+            if not name.startswith("head."):
+                assert np.shares_memory(t.data, other.base.params[name].data), name
 
 
 class TestMerge:

@@ -1,10 +1,13 @@
 """Tests for adapter construction, injection, merging, and freeze discipline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from convlora import tensor as T
-from convlora.backbone import base_config, build_model, forward, tiny_test_config
+from convlora.backbone import (ModelConfig, base_config, build_model, forward,
+                               tiny_test_config)
 from convlora.lora import (
     LoraAdapter,
     adapted_linear,
@@ -258,3 +261,94 @@ class TestHeadOnly:
         peft = head_only(model, seed=1)
         assert peft.adapters == {}
         assert set(peft.trainable_params()) == {"head.weight", "head.bias"}
+
+    def test_head_matches_inject_head(self):
+        # the fresh head is seeded by (seed, 0x6EAD) alone, adapters or not
+        model = build_model(tiny_test_config(), seed=0)
+        for num_classes in (None, 9):
+            ho = head_only(model, seed=3, num_classes=num_classes)
+            full = inject(model, r=2, alpha=4.0, dropout_p=0.0, seed=3,
+                          num_classes=num_classes)
+            assert ho.config == full.config
+            for name in ("head.weight", "head.bias"):
+                assert np.array_equal(ho.base.params[name].data,
+                                      full.base.params[name].data)
+
+
+class TestSharedBase:
+    """An adapted model holds the source's frozen arrays, never a copy."""
+
+    @pytest.mark.parametrize("num_classes", [None, 9])
+    def test_frozen_tensors_are_read_only_views(self, num_classes):
+        model = build_model(tiny_test_config(), seed=0)
+        for peft in (inject(model, r=2, alpha=4.0, dropout_p=0.0, seed=1,
+                            num_classes=num_classes),
+                     head_only(model, seed=1, num_classes=num_classes)):
+            for name, src in model.params.items():
+                if name.startswith("head."):
+                    continue
+                t = peft.base.params[name]
+                assert not t.requires_grad
+                assert np.shares_memory(t.data, src.data), name
+                with pytest.raises(ValueError):
+                    t.data[...] = 0.0
+                with pytest.raises(ValueError):
+                    t.data += 1.0
+
+    def test_head_and_adapters_own_their_memory(self):
+        model = build_model(tiny_test_config(), seed=0)
+        for num_classes in (None, 9):
+            peft = inject(model, r=2, alpha=4.0, dropout_p=0.0, seed=1,
+                          num_classes=num_classes)
+            for name, t in peft.trainable_params().items():
+                assert t.data.flags.writeable
+                assert not any(np.shares_memory(t.data, src.data)
+                               for src in model.params.values()), name
+
+    def test_input_model_flags_and_values_untouched(self):
+        model = build_model(tiny_test_config(), seed=0)
+        model.params["stem.conv.bias"].requires_grad = False
+        flags = {n: t.requires_grad for n, t in model.params.items()}
+        values = {n: t.data.copy() for n, t in model.params.items()}
+        peft = inject(model, r=2, alpha=4.0, dropout_p=0.0, seed=1, num_classes=9)
+        merged = merged_model(peft)
+        for t in list(peft.trainable_params().values()) + list(merged.params.values()):
+            t.data += 1.0
+        for name, t in model.params.items():
+            assert t.requires_grad == flags[name]
+            assert t.data.flags.writeable
+            assert np.array_equal(t.data, values[name]), name
+        assert model.config.num_classes == 4
+
+    def test_merged_model_shares_nothing(self):
+        model = build_model(tiny_test_config(), seed=5)
+        peft = inject(model, r=2, alpha=4.0, dropout_p=0.0, seed=6)
+        rng = np.random.default_rng(7)
+        for ad in peft.adapters.values():
+            ad.B.data[:] = rng.normal(scale=0.1, size=ad.B.shape).astype(np.float32)
+        x = Tensor(rng.normal(size=(2, 3, 32, 32)).astype(np.float32))
+        before = peft_forward(peft, x).data
+        merged = merged_model(peft)
+        owned = list(peft.base.params.values()) + [
+            t for ad in peft.adapters.values() for t in (ad.A, ad.B)]
+        for name, t in merged.params.items():
+            assert t.requires_grad and t.data.flags.writeable
+            assert not any(np.shares_memory(t.data, o.data) for o in owned), name
+            t.data += 1.0
+        assert np.array_equal(peft_forward(peft, x).data, before)
+
+    def test_inject_allocates_only_what_trains(self):
+        cfg = ModelConfig(depths=(1, 1, 3, 1), dims=(32, 64, 128, 256),
+                          num_classes=10, image_size=32)
+        model = build_model(cfg, seed=0)
+        base_bytes = sum(t.data.nbytes for t in model.params.values())
+        tracemalloc.start()
+        try:
+            peft = inject(model, r=4, alpha=8.0, dropout_p=0.0, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        trainable = sum(t.data.nbytes for t in peft.trainable_params().values())
+        margin = 256 * 1024
+        assert trainable + margin < base_bytes / 4
+        assert peak < trainable + margin

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from convlora import persist
-from convlora.backbone import ModelConfig, build_model, forward, tiny_test_config
+from convlora.backbone import (ModelConfig, build_model, forward, param_shapes,
+                               tiny_test_config)
 from convlora.errors import CompatibilityError
 from convlora.lora import inject, peft_forward
 from convlora.persist import CheckpointError
@@ -108,6 +109,23 @@ class TestBaseCheckpoint:
         buffers = {id(t.data.base) for t in loaded.params.values()}
         assert len(buffers) == 1 and loaded.params["head.bias"].data.base is not None
 
+    def test_payload_is_the_little_endian_float32_bytes(self, toy_model, tmp_path):
+        # float64, non-contiguous and read-only tensors are all written as
+        # the bytes of their contiguous little-endian float32 values
+        model = toy_model.astype(np.float64)
+        w = model.params["head.weight"]
+        w.data = np.asfortranarray(w.data)
+        ro = model.params["stem.conv.weight"].data
+        ro.flags.writeable = False
+        path = tmp_path / "m.ckpt"
+        persist.save(model, path)
+        want = b"".join(np.ascontiguousarray(model.params[n].data, dtype="<f4").tobytes()
+                        for n, _, _ in param_shapes(model.config))
+        blob = path.read_bytes()
+        assert blob.endswith(want)
+        persist.save(toy_model, tmp_path / "f32.ckpt")
+        assert (tmp_path / "f32.ckpt").read_bytes() == blob
+
     def test_explicit_kind_mismatch(self, toy_model, tmp_path):
         with pytest.raises(ValueError):
             persist.save(toy_model, tmp_path / "m.ckpt", kind="adapter")
@@ -156,3 +174,34 @@ class TestAdapterCheckpoint:
         persist.save(toy_model, base_path)
         persist.save(peft, ad_path)
         assert ad_path.stat().st_size < base_path.stat().st_size
+
+    def test_attach_shares_the_base_and_copies_what_trains(self, toy_model, tmp_path):
+        peft = inject(toy_model, r=2, alpha=4.0, dropout_p=0.0, seed=1, num_classes=6)
+        path = tmp_path / "ad.ckpt"
+        persist.save(peft, path)
+        ckpt = persist.load(path)
+        values = {n: t.data.copy() for n, t in toy_model.params.items()}
+        first, second = ckpt.attach(toy_model), ckpt.attach(toy_model)
+        for name, t in toy_model.params.items():
+            assert t.requires_grad and t.data.flags.writeable
+            assert np.array_equal(t.data, values[name]), name
+            if name.startswith("head."):
+                continue
+            for attached in (first, second):
+                frozen = attached.base.params[name]
+                assert not frozen.requires_grad
+                assert np.shares_memory(frozen.data, t.data), name
+                with pytest.raises(ValueError):
+                    frozen.data[...] = 0.0
+        sources = list(toy_model.params.values()) + [
+            Tensor(a) for a in ckpt.tensors.values()]
+        for name, t in first.trainable_params().items():
+            assert not any(np.shares_memory(t.data, s.data) for s in sources), name
+            assert not np.shares_memory(t.data, second.trainable_params()[name].data)
+
+    def test_saving_a_shared_base_writes_the_same_bytes(self, toy_model, tmp_path):
+        peft = inject(toy_model, r=2, alpha=4.0, dropout_p=0.0, seed=1)
+        persist.save(toy_model, tmp_path / "source.ckpt")
+        persist.save(peft.base, tmp_path / "shared.ckpt")
+        assert ((tmp_path / "source.ckpt").read_bytes()
+                == (tmp_path / "shared.ckpt").read_bytes())

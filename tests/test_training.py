@@ -180,6 +180,39 @@ class TestTrainLoop:
         for name, before in frozen_before.items():
             assert np.array_equal(peft.base.params[name].data, before), name
 
+    def test_trained_peft_shares_the_source_base(self, toy_task):
+        model = build_model(tiny_test_config(), seed=3)
+        peft = inject(model, r=2, alpha=4.0, dropout_p=0.1, seed=4)
+        peft.base.class_names = toy_task.class_names
+        cfg = TrainConfig(lr=5e-3, max_epochs=2, batch_size=16, patience=5, seed=5)
+        best, _ = train(peft, toy_task, cfg, AugmentConfig(resize=32))
+        for name, t in best.base.params.items():
+            if name.startswith("head."):
+                continue
+            assert not t.requires_grad
+            assert np.shares_memory(t.data, model.params[name].data), name
+            with pytest.raises(ValueError):
+                t.data[...] = 0.0
+        live = trainable_params(peft)
+        sources = list(model.params.values()) + list(live.values())
+        for name, t in trainable_params(best).items():
+            assert t.requires_grad and t.data.flags.writeable
+            assert not any(np.shares_memory(t.data, s.data) for s in sources), name
+
+    def test_trained_model_shares_nothing_with_its_input(self, toy_task):
+        model = build_model(tiny_test_config(), seed=3)
+        model.params["stem.conv.bias"].requires_grad = False
+        cfg = TrainConfig(lr=5e-3, max_epochs=1, batch_size=16, patience=5, seed=5)
+        best, _ = train(model, toy_task, cfg, AUG)
+        for name, t in best.params.items():
+            src = model.params[name]
+            assert t.requires_grad == src.requires_grad
+            if src.requires_grad:
+                assert not np.shares_memory(t.data, src.data), name
+            else:
+                assert np.shares_memory(t.data, src.data)
+                assert not t.data.flags.writeable and src.data.flags.writeable
+
     def test_empty_split_rejected(self, toy_task):
         bare = D.DatasetManifest(samples=[], class_names=["a", "b"])
         model = build_model(tiny_test_config(), seed=0)
