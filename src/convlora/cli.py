@@ -15,73 +15,50 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import data as data_mod
 from . import images, persist, training
-from .backbone import Model, ModelConfig, build_model, param_shapes, saliency
+from .backbone import (Model, ModelConfig, base_config, build_model,
+                       param_shapes, saliency)
 from .data import AugmentConfig, DatasetManifest
 from .errors import CompatibilityError, ConfigError, TrainingDiverged
-from .lora import (adapter_param_count, count_params, inject, merged_model,
-                   model_forward)
+from .lora import (DEFAULT_TARGETS, adapted_layers, adapter_param_count,
+                   count_params, inject, merged_model, model_forward)
 from .metrics import MetricsReport
 from .tensor import NumericsError, Tensor
 from .training import TrainConfig, cross_eval, evaluate, predict, train
 
+
+def _section(cls) -> dict:
+    """A config section holding a dataclass's fields and defaults, tuples as lists."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in fields(cls)}
+
+
 DEFAULT_CONFIG: dict = {
-    "model": {
-        "depths": [3, 3, 27, 3],
-        "dims": [128, 256, 512, 1024],
-        "num_classes": None,
-        "in_channels": 3,
-        "image_size": 224,
-        "mlp_ratio": 4,
-        "seed": 0,
-    },
-    "train": {
-        "lr": 1e-4,
-        "betas": [0.9, 0.999],
-        "eps": 1e-8,
-        "weight_decay": 0.05,
-        "max_epochs": 30,
-        "batch_size": 32,
-        "patience": 5,
-        "seed": 0,
-    },
-    "augment": {
-        "hflip_prob": 0.5,
-        "rotation_max_deg": 15.0,
-        "resize": 224,
-        "normalize_mean": [0.485, 0.456, 0.406],
-        "normalize_std": [0.229, 0.224, 0.225],
-    },
-    "lora": {
-        "enabled": True,
-        "rank": 16,
-        "alpha": 32.0,
-        "dropout": 0.1,
-        "targets": ["fc1", "fc2"],
-    },
-    "data": {
-        "root": None,
-        "ratios": [0.8, 0.1, 0.1],
-        "by_group": False,
-        "split_seed": 0,
-    },
+    "model": {**base_config(num_classes=None).to_dict(), "seed": 0},
+    "train": _section(TrainConfig),
+    "augment": _section(AugmentConfig),
+    # no library dataclass holds these two sections
+    "lora": {"enabled": True, "rank": 16, "alpha": 32.0, "dropout": 0.1,
+             "targets": list(DEFAULT_TARGETS)},
+    "data": {"root": None, "ratios": [0.8, 0.1, 0.1], "by_group": False,
+             "split_seed": 0},
     "init_from": None,
     "output_dir": None,
 }
 
-# leaves whose default is None still need a declared flag type
-_NONE_LEAF_TYPES = {
-    "model.num_classes": int,
-    "data.root": str,
-    "init_from": str,
-    "output_dir": str,
-}
+# leaves whose default is None still need a declared type
+_NONE_LEAF_TYPES = {"model.num_classes": int, "data.root": str,
+                    "init_from": str, "output_dir": str}
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False}
 
 
 def _leaves(tree: dict, prefix: str = ""):
@@ -93,29 +70,37 @@ def _leaves(tree: dict, prefix: str = ""):
             yield path, value
 
 
-def _parse_flag_value(path: str, raw: str, default):
-    if default is None:
-        kind = _NONE_LEAF_TYPES[path]
-        return kind(raw)
-    if isinstance(default, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"--{path}: expected true/false, got {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    if isinstance(default, list):
-        element = default[0] if default else ""
-        items = [part for part in raw.split(",") if part != ""]
-        if isinstance(element, float):
-            return [float(p) for p in items]
-        if isinstance(element, int):
-            return [int(p) for p in items]
-        return items
-    return raw
+def _is_a(value, kind: type) -> bool:
+    """JSON typing: a bool is no number, and an int serves as a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _typed(path: str, value, default, from_flag: bool = False):
+    """``value`` for the leaf ``path`` in the type of its default: a flag
+    string is parsed (lists comma-separated), a JSON value is checked (lists
+    element by element). A mismatch is a ConfigError."""
+    kind = _NONE_LEAF_TYPES.get(path, type(default))
+    element = type(default[0]) if kind is list else kind
+    if from_flag:
+        parts = [p for p in value.split(",") if p != ""] if kind is list else [value]
+        try:
+            items = [_BOOLS[p.lower()] if element is bool else element(p)
+                     for p in parts]
+            return items if kind is list else items[0]
+        except (KeyError, ValueError):
+            pass
+    elif kind is list:
+        if isinstance(value, list) and all(_is_a(v, element) for v in value):
+            return value
+    elif _is_a(value, kind) or (value is None and default is None):
+        return value
+    expected = f"a list of {element.__name__}" if kind is list else kind.__name__
+    if from_flag:
+        raise ConfigError(f"--{path}: expected {expected}, got {value!r}")
+    raise ConfigError(f"config key {path}: expected {expected}, "
+                      f"got {json.dumps(value)}")
 
 
 def add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -126,35 +111,25 @@ def add_config_flags(parser: argparse.ArgumentParser) -> None:
                             dest=path, help=f"override (default: {default})")
 
 
-def _set_path(tree: dict, path: str, value) -> None:
-    keys = path.split(".")
-    node = tree
-    for k in keys[:-1]:
-        node = node[k]
-    node[keys[-1]] = value
-
-
-def _check_unknown(user: dict, schema: dict, prefix: str = "") -> None:
+def _merge_file(cfg: dict, user, prefix: str = "") -> None:
+    """Merge a config file's table into the defaults ``cfg``, rejecting
+    unknown keys and values of the wrong type or shape."""
+    if not isinstance(user, dict):
+        where = f"config key {prefix}" if prefix else "config file top level"
+        raise ConfigError(f"{where}: expected a table, got {json.dumps(user)}")
     for key, value in user.items():
         path = f"{prefix}.{key}" if prefix else key
-        if key not in schema:
+        if key not in cfg:
             raise ConfigError(f"unknown config key: {path}")
-        if isinstance(value, dict):
-            if not isinstance(schema[key], dict):
-                raise ConfigError(f"config key {path} should be a value, not a table")
-            _check_unknown(value, schema[key], path)
-
-
-def _merge(base: dict, override: dict) -> None:
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _merge(base[key], value)
+        if isinstance(cfg[key], dict):
+            _merge_file(cfg[key], value, path)
         else:
-            base[key] = value
+            cfg[key] = _typed(path, value, cfg[key])
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults <- config file <- CLI flags, rejecting unknown file keys."""
+    """defaults <- config file <- CLI flags, each value checked against the
+    type of its default."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if args.config is not None:
         try:
@@ -163,76 +138,66 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file not found: {args.config}") from None
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {args.config}: {e}") from None
-        _check_unknown(user, DEFAULT_CONFIG)
-        _merge(cfg, user)
+        _merge_file(cfg, user)
     for path, default in _leaves(DEFAULT_CONFIG):
         raw = getattr(args, path, None)
         if raw is not None:
-            _set_path(cfg, path, _parse_flag_value(path, raw, default))
+            *parents, key = path.split(".")
+            node = cfg
+            for k in parents:
+                node = node[k]
+            node[key] = _typed(path, raw, default, from_flag=True)
     return cfg
 
 
-def _model_config(cfg: dict, num_classes: int) -> ModelConfig:
-    m = cfg["model"]
+def _build(cls, name: str, section: dict):
+    """The validated ``cls`` made from the section's entries for its fields."""
+    values = {f.name: section[f.name] for f in fields(cls)}
     try:
-        mc = ModelConfig(depths=tuple(m["depths"]), dims=tuple(m["dims"]),
-                         num_classes=num_classes, in_channels=m["in_channels"],
-                         image_size=m["image_size"], mlp_ratio=m["mlp_ratio"])
-        mc.validate()
+        built = cls(**{k: tuple(v) if isinstance(v, list) else v
+                       for k, v in values.items()})
+        built.validate()
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid {name} config: {e}") from e
+    return built
+
+
+def _run_configs(cfg: dict, dataset_classes: int):
+    """The model, train and augment configs of a resolved run config; a null
+    model.num_classes takes ``dataset_classes``."""
+    model = cfg["model"]
+    if model["seed"] < 0:
+        raise ConfigError("invalid model config: seed must be >= 0")
+    if model["num_classes"] is None:
+        model = {**model, "num_classes": dataset_classes}
+    return (_build(ModelConfig, "model", model),
+            _build(TrainConfig, "train", cfg["train"]),
+            _build(AugmentConfig, "augment", cfg["augment"]))
+
+
+def _lora_settings(cfg: dict, config: ModelConfig) -> dict:
+    """``inject``'s adapter arguments from the lora section, checked against
+    the layers of ``config``."""
+    lc = cfg["lora"]
+    try:
+        adapted_layers(config, tuple(lc["targets"]), lc["rank"], lc["dropout"])
     except ValueError as e:
-        raise ConfigError(f"invalid model config: {e}") from e
-    return mc
+        raise ConfigError(f"invalid lora config: {e}") from e
+    return {"targets": tuple(lc["targets"]), "r": lc["rank"],
+            "alpha": lc["alpha"], "dropout_p": lc["dropout"]}
 
 
-def _augment_config(cfg: dict) -> AugmentConfig:
-    a = cfg["augment"]
-    ac = AugmentConfig(hflip_prob=a["hflip_prob"],
-                       rotation_max_deg=a["rotation_max_deg"],
-                       resize=a["resize"],
-                       normalize_mean=tuple(a["normalize_mean"]),
-                       normalize_std=tuple(a["normalize_std"]))
+def _split_dataset(root: str, splits, **split_args) -> DatasetManifest:
+    """Scan and split ``root``; every split named in ``splits`` must get images."""
     try:
-        ac.validate()
-    except ValueError as e:
-        raise ConfigError(f"invalid augment config: {e}") from e
-    return ac
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    t = cfg["train"]
-    tc = TrainConfig(lr=t["lr"], betas=tuple(t["betas"]), eps=t["eps"],
-                     weight_decay=t["weight_decay"], max_epochs=t["max_epochs"],
-                     batch_size=t["batch_size"], patience=t["patience"],
-                     seed=t["seed"])
-    try:
-        tc.validate()
-    except ValueError as e:
-        raise ConfigError(f"invalid train config: {e}") from e
-    return tc
-
-
-def _scan_and_split(root: str, **split_args) -> DatasetManifest:
-    try:
-        return data_mod.split(data_mod.scan_dataset(root), **split_args)
+        manifest = data_mod.split(data_mod.scan_dataset(root), **split_args)
     except (FileNotFoundError, ValueError) as e:
         raise ConfigError(str(e)) from e
-
-
-def _load_split_dataset(cfg: dict) -> DatasetManifest:
-    root = cfg["data"]["root"]
-    if not root:
-        raise ConfigError("data.root is required")
-    return _scan_and_split(root, ratios=tuple(cfg["data"]["ratios"]),
-                           seed=cfg["data"]["split_seed"],
-                           by_group=cfg["data"]["by_group"])
-
-
-def _eval_dataset(root: str, split_name: str, seed: int,
-                  by_group: bool = False) -> DatasetManifest:
-    manifest = _scan_and_split(root, seed=seed, by_group=by_group)
-    if not manifest.indices_for(split_name):
-        raise ConfigError(f"dataset {root} has no {split_name!r} split "
-                          f"({len(manifest.samples)} images are too few)")
+    for name in splits:
+        if not manifest.indices_for(name):
+            raise ConfigError(f"dataset {root} has no {name!r} split "
+                              f"({len(manifest.samples)} images are too few "
+                              f"for the split ratios)")
     return manifest
 
 
@@ -289,28 +254,34 @@ def cmd_train(args) -> int:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    manifest = _load_split_dataset(cfg)
-    num_classes = cfg["model"]["num_classes"] or manifest.num_classes
-    model_config = _model_config(cfg, num_classes)
-    augment = _augment_config(cfg)
-    train_cfg = _train_config(cfg)
+    data = cfg["data"]
+    if not data["root"]:
+        raise ConfigError("data.root is required")
+    # training needs train and val; the run ends by predicting on test
+    manifest = _split_dataset(data["root"], data_mod.SPLITS,
+                              ratios=tuple(data["ratios"]),
+                              seed=data["split_seed"], by_group=data["by_group"])
+    model_config, train_cfg, augment = _run_configs(cfg, manifest.num_classes)
+    num_classes = model_config.num_classes
 
     if cfg["init_from"]:
         base = _load_base(cfg["init_from"], "init_from")
     else:
-        base = build_model(model_config, seed=cfg["model"]["seed"],
-                           class_names=manifest.class_names)
+        base = build_model(model_config, seed=cfg["model"]["seed"])
+    base.class_names = manifest.class_names
+    # the data path decodes RGB and resizes every image to augment.resize
+    if base.config.in_channels != 3:
+        raise ConfigError(f"model.in_channels is {base.config.in_channels}, "
+                          f"but images are decoded as RGB (3 channels)")
+    if base.config.image_size != augment.resize:
+        raise ConfigError(f"augment.resize {augment.resize} does not match "
+                          f"the model's image_size {base.config.image_size}")
 
     lora_cfg = cfg["lora"]
+    model = base
     if lora_cfg["enabled"]:
-        model = inject(base, targets=tuple(lora_cfg["targets"]),
-                       r=lora_cfg["rank"], alpha=lora_cfg["alpha"],
-                       dropout_p=lora_cfg["dropout"], seed=cfg["model"]["seed"],
-                       num_classes=num_classes)
-        model.base.class_names = manifest.class_names
-    else:
-        model = base
-        model.class_names = manifest.class_names
+        model = inject(base, **_lora_settings(cfg, base.config),
+                       seed=cfg["model"]["seed"], num_classes=num_classes)
 
     best, history = train(model, manifest, train_cfg, augment)
 
@@ -336,9 +307,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = _load_models_for_eval([args.checkpoint], args.base)[0]
-    manifest = _eval_dataset(args.data, args.split, args.split_seed, args.by_group)
-    augment = AugmentConfig(resize=model.config.image_size)
-    report = evaluate(model, manifest, args.split, augment)
+    manifest = _split_dataset(args.data, [args.split], seed=args.split_seed,
+                              by_group=args.by_group)
+    report = evaluate(model, manifest, args.split)
     print(report.format_table())
     if args.out:
         Path(args.out).write_text(report.to_tsv())
@@ -348,7 +319,8 @@ def cmd_eval(args) -> int:
 
 def cmd_cross_eval(args) -> int:
     models = _load_models_for_eval(args.checkpoint, args.base)
-    datasets = [_eval_dataset(d, args.split, args.split_seed) for d in args.data]
+    datasets = [_split_dataset(d, [args.split], seed=args.split_seed)
+                for d in args.data]
     names = [Path(d).name for d in args.data]
     matrix = cross_eval(models, datasets, split_name=args.split)
     lines = ["train\\test\t" + "\t".join(names)]
@@ -403,15 +375,15 @@ def cmd_params(args) -> int:
         counts = count_params(loaded)
     else:
         cfg = resolve_config(args)
-        num_classes = cfg["model"]["num_classes"] or 2
-        model_config = _model_config(cfg, num_classes)
-        shapes = param_shapes(model_config)
-        total = sum(int(np.prod(s)) for _, s, _ in shapes)
+        model_config, _, _ = _run_configs(cfg, 2)
+        sizes = {name: math.prod(shape)
+                 for name, shape, _ in param_shapes(model_config)}
+        total = sum(sizes.values())
         counts = {"total": total, "trainable": total}
         if cfg["lora"]["enabled"]:
-            adapter = adapter_param_count(model_config, cfg["lora"]["rank"],
-                                          tuple(cfg["lora"]["targets"]))
-            head = num_classes * model_config.dims[3] + num_classes
+            lora = _lora_settings(cfg, model_config)
+            adapter = adapter_param_count(model_config, lora["r"], lora["targets"])
+            head = sum(n for name, n in sizes.items() if name.startswith("head."))
             counts = {"total": total + adapter, "trainable": adapter + head,
                       "adapter": adapter, "head": head,
                       "frozen": total - head}

@@ -74,12 +74,18 @@ class AugmentConfig:
     normalize_std: tuple[float, float, float] = (0.229, 0.224, 0.225)
 
     def validate(self) -> None:
-        if self.rotation_max_deg < 0:
+        # written so that NaN fails every range check
+        if not self.rotation_max_deg >= 0:
             raise ValueError("rotation_max_deg must be >= 0")
         if self.resize < 4:
             raise ValueError("resize must be >= 4")
         if not 0.0 <= self.hflip_prob <= 1.0:
             raise ValueError("hflip_prob must be in [0, 1]")
+        if len(self.normalize_mean) != 3 or len(self.normalize_std) != 3:
+            raise ValueError("normalize_mean and normalize_std need one entry "
+                             "per RGB channel")
+        if not all(s > 0 for s in self.normalize_std):
+            raise ValueError("normalize_std entries must be positive")
 
 
 def scan_dataset(root: str | Path) -> DatasetManifest:

@@ -81,12 +81,7 @@ def init_adapter(d: int, k: int, r: int, alpha: float, dropout_p: float,
                  seed: int, target: str = "") -> LoraAdapter:
     """A fresh adapter for a [d, k] weight: A ~ U(-sqrt(6/k), sqrt(6/k)),
     B = 0, so the delta starts at exactly zero."""
-    if r < 1:
-        raise ValueError("adapter rank must be >= 1")
-    if r > min(d, k):
-        raise ValueError(f"adapter rank {r} exceeds min(d, k) = {min(d, k)}")
-    if not 0.0 <= dropout_p < 1.0:
-        raise ValueError("dropout_p must be in [0, 1)")
+    _check_adapter(d, k, r, dropout_p)
     rng = np.random.default_rng(seed)
     bound = math.sqrt(6.0 / k)
     a = rng.uniform(-bound, bound, size=(r, k)).astype(np.float32)
@@ -95,6 +90,29 @@ def init_adapter(d: int, k: int, r: int, alpha: float, dropout_p: float,
                        B=Tensor(b, requires_grad=True),
                        rank=r, alpha=float(alpha), dropout_p=float(dropout_p),
                        target=target)
+
+
+def _check_adapter(d: int, k: int, r: int, dropout_p: float) -> None:
+    if r < 1:
+        raise ValueError("adapter rank must be >= 1")
+    if r > min(d, k):
+        raise ValueError(f"adapter rank {r} exceeds min(d, k) = {min(d, k)}")
+    if not 0.0 <= dropout_p < 1.0:
+        raise ValueError("dropout_p must be in [0, 1)")
+
+
+def adapted_layers(config: ModelConfig, targets: tuple[str, ...], r: int,
+                   dropout_p: float = 0.0) -> dict[str, tuple[int, int]]:
+    """(d, k) of every block projection layer whose short name is in
+    ``targets``, by name. Raises ValueError for the settings ``inject``
+    rejects: no matching layer, or a rank or dropout out of range."""
+    matched = {name: dk for name, dk in backbone.linear_layer_shapes(config).items()
+               if name.rsplit(".", 1)[-1] in targets}
+    if not matched:
+        raise ValueError(f"no linear layers match targets {tuple(targets)!r}")
+    for d, k in matched.values():
+        _check_adapter(d, k, r, dropout_p)
+    return matched
 
 
 def adapted_linear(x: Tensor, w: Tensor, b: Tensor, adapter: LoraAdapter,
@@ -130,12 +148,7 @@ def inject(model: Model, targets: tuple[str, ...] = DEFAULT_TARGETS,
     The input model is not modified: the returned PeftModel shares its frozen
     tensors read-only and copies only what trains, the head.
     """
-    layer_shapes = backbone.linear_layer_shapes(model.config)
-    matched = {name: dk for name, dk in layer_shapes.items()
-               if name.rsplit(".", 1)[-1] in targets}
-    if not matched:
-        raise ValueError(f"inject: no linear layers match targets {targets!r}")
-
+    matched = adapted_layers(model.config, targets, r, dropout_p)
     adapters: dict[str, LoraAdapter] = {}
     seed_seq = np.random.SeedSequence(seed)
     for (name, (d, k)), child in zip(sorted(matched.items()),
@@ -233,7 +246,6 @@ def count_params(model) -> dict[str, int]:
 
 def adapter_param_count(config: ModelConfig, r: int,
                         targets: tuple[str, ...] = DEFAULT_TARGETS) -> int:
-    """Closed-form adapter parameter count: r * (d + k) per matched layer."""
-    return sum(r * (d + k)
-               for name, (d, k) in backbone.linear_layer_shapes(config).items()
-               if name.rsplit(".", 1)[-1] in targets)
+    """Closed-form adapter parameter count: r * (d + k) per matched layer,
+    for the settings ``inject`` accepts (ValueError otherwise)."""
+    return sum(r * (d + k) for d, k in adapted_layers(config, targets, r).values())

@@ -75,14 +75,12 @@ def save(obj, path: str | Path, kind: str | None = None) -> None:
     for arr in arrays:
         digest.update(arr)
 
-    config = obj.config if isinstance(obj, Model) else obj.base.config
-    class_names = obj.class_names
     header = {
         "format_version": FORMAT_VERSION,
         "kind": inferred,
-        "model_config": config.to_dict(),
+        "model_config": obj.config.to_dict(),
         "lora": lora_cfg,
-        "class_names": class_names,
+        "class_names": obj.class_names,
         "created_by": CREATED_BY,
         "tensors": entries,
         "payload_nbytes": payload_nbytes,

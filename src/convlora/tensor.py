@@ -91,9 +91,6 @@ class Tensor:
             dtype = self.data.dtype
         return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 

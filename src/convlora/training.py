@@ -37,14 +37,21 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.lr <= 0:
+        # written so that NaN fails every range check
+        if not self.lr > 0:
             raise ValueError("lr must be positive")
-        if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):
-            raise ValueError("betas must lie in [0, 1)")
+        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
+            raise ValueError("betas must be two values in [0, 1)")
+        if not self.eps > 0:
+            raise ValueError("eps must be positive")
+        if not self.weight_decay >= 0:
+            raise ValueError("weight_decay must be >= 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.max_epochs < 1 or self.batch_size < 1:
             raise ValueError("max_epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

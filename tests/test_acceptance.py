@@ -257,6 +257,7 @@ def _finetune_trial(domain_a, domain_b, trial: int):
     return lora_acc, head_acc
 
 
+@pytest.mark.slow
 def test_criterion_06_finetuning_efficacy(domains):
     start = time.monotonic()
     domain_a, domain_b = domains
@@ -276,6 +277,7 @@ def test_criterion_06_finetuning_efficacy(domains):
                f"({elapsed:.0f}s, 3 seeds)")
 
 
+@pytest.mark.slow
 def test_criterion_07_cross_domain_pattern(domains):
     start = time.monotonic()
     domain_a, domain_b = domains

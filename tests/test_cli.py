@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convlora import images as I
 from convlora import cli, persist
@@ -36,6 +38,10 @@ def _toy_train_args(dataset, out_dir, extra=()):
             "--train.lr", "0.002",
             "--data.ratios", "0.7,0.15,0.15",
             *extra]
+
+
+TINY_MODEL = ["--model.depths", "1,1,1,1", "--model.dims", "8,16,32,64",
+              "--model.image_size", "32"]
 
 
 class TestSynth:
@@ -322,3 +328,113 @@ class TestParams:
         assert code == 0
         out = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
         assert out["total"] == out["trainable"]
+
+    def test_config_counts_match_trained_adapter(self, trained, capsys):
+        assert run(["params", "--checkpoint", str(trained["adapter"]),
+                    "--base", str(trained["base"])]) == 0
+        from_checkpoint = capsys.readouterr().out
+        assert run(["params", "--model.num_classes", "3", *TINY_MODEL,
+                    "--lora.rank", "2"]) == 0
+        assert capsys.readouterr().out == from_checkpoint
+
+
+# (command, extra flags); "config" runs params with the object as the config
+# file, and train runs also get _toy_train_args, so each fails on the one
+# setting named here
+MALFORMED = [
+    pytest.param("params", ["--model.num_classes", "abc"], id="num_classes-text"),
+    pytest.param("params", ["--model.num_classes", "0"], id="num_classes-zero"),
+    pytest.param("params", ["--model.depths", "1,x,1,1"], id="depths-element"),
+    pytest.param("params", ["--lora.enabled", "maybe"], id="bool-text"),
+    pytest.param("params", ["--lora.rank", "0"], id="params-rank-0"),
+    pytest.param("params", ["--lora.targets", "foo"], id="params-no-target"),
+    pytest.param("params", ["--lora.dropout", "1.5"], id="params-dropout"),
+    pytest.param("params", TINY_MODEL, id="params-rank-over-tiny-dims"),
+    pytest.param("params", ["--train.eps", "0"], id="eps-zero"),
+    pytest.param("params", ["--train.weight_decay", "-0.1"], id="decay-negative"),
+    pytest.param("params", ["--train.lr", "nan"], id="lr-nan"),
+    pytest.param("params", ["--train.betas", "0.9"], id="betas-one-entry"),
+    pytest.param("params", ["--augment.normalize_mean", "0.5"], id="mean-one-entry"),
+    pytest.param("params", ["--augment.normalize_std", "0.2,0,0.2"], id="std-zero"),
+    pytest.param("config", {"train": {"lr": "x"}}, id="json-string-for-float"),
+    pytest.param("config", {"model": {"depths": 3}}, id="json-value-for-list"),
+    pytest.param("config", {"model": {"dims": [8, "16", 32, 64]}}, id="json-element"),
+    pytest.param("config", {"lora": {"enabled": 1}}, id="json-int-for-bool"),
+    pytest.param("config", {"lora": {"rank": True}}, id="json-bool-for-int"),
+    pytest.param("config", {"lora": {"rank": 2.0}}, id="json-float-for-int"),
+    pytest.param("config", {"train": {"lr": None}}, id="json-null-for-float"),
+    pytest.param("config", {"train": {"lr": {"x": 1}}}, id="json-table-for-value"),
+    pytest.param("config", {"train": 5}, id="json-value-for-table"),
+    pytest.param("config", [1, 2], id="json-top-level-list"),
+    pytest.param("config", {"lora": {"rnak": 4}}, id="json-unknown-key"),
+    pytest.param("train", ["--train.max_epochs", "abc"], id="max_epochs-text"),
+    pytest.param("train", ["--lora.rank", "0"], id="train-rank-0"),
+    pytest.param("train", ["--lora.targets", "foo"], id="train-no-target"),
+    pytest.param("train", ["--lora.rank", "2", "--lora.dropout", "1.5"],
+                 id="train-dropout"),
+    pytest.param("train", [], id="train-rank-over-tiny-dims"),
+    pytest.param("train", ["--lora.rank", "2", "--augment.resize", "64"],
+                 id="resize-not-image-size"),
+    pytest.param("train", ["--lora.rank", "2", "--model.in_channels", "1"],
+                 id="in-channels-not-rgb"),
+    pytest.param("train", ["--lora.rank", "2", "--train.seed", "-1"],
+                 id="train-seed-negative"),
+    pytest.param("train", ["--lora.rank", "2", "--model.seed", "-1"],
+                 id="model-seed-negative"),
+    pytest.param("train", ["--lora.rank", "2", "--data.ratios", "1.5,-0.25,-0.25"],
+                 id="ratios-negative"),
+    pytest.param("train", ["--lora.rank", "2", "--data.ratios", "0.9,0.1,0"],
+                 id="no-test-split"),
+]
+
+
+@pytest.mark.parametrize("command, extra", MALFORMED)
+def test_malformed_invocation_exits_2_with_one_line(command, extra, dataset,
+                                                    tmp_path, capsys):
+    if command == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(extra))
+        argv = ["params", "--config", str(config)]
+    elif command == "train":
+        argv = _toy_train_args(dataset, tmp_path / "run", extra)
+    else:
+        argv = [command, *extra]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("config", [
+    {"train": {"lr": 1}, "lora": {"alpha": 8}},
+    {"model": {"num_classes": None}, "init_from": None},
+    {"model": {"num_classes": 5}, "augment": {"normalize_std": [1, 1, 1]}},
+])
+def test_config_file_accepts_ints_for_floats_and_null_defaults(config, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run(["params", "--config", str(path)]) == 0
+
+
+def test_config_json_replays_to_the_same_config(trained):
+    for checkpoint in trained.values():
+        path = checkpoint.parent / "config.json"
+        args = cli.build_parser().parse_args(["train", "--config", str(path)])
+        resolved = cli.resolve_config(args)
+        assert json.dumps(resolved, indent=2, sort_keys=True) + "\n" == path.read_text()
+
+
+TYPED_FLAGS = sorted(path for path, default in cli._leaves(cli.DEFAULT_CONFIG)
+                     if not isinstance(default, str) and path not in
+                     ("data.root", "init_from", "output_dir"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(TYPED_FLAGS),
+       text=st.one_of(st.text(),
+                      st.from_regex(r"-?[0-9]{0,3}(\.[0-9]{0,2})?(,-?[0-9]{0,3}){0,5}",
+                                    fullmatch=True),
+                      st.sampled_from(["nan", "inf", "-inf", "1e999", "true",
+                                       "fc1", "fc1,fc2,head", "1,1,1,1"])))
+def test_params_flag_text_exits_0_or_2(path, text):
+    assert run(["params", f"--{path}={text}"]) in (0, 2)

@@ -212,6 +212,16 @@ class TestInject:
         assert peft.base.params["head.weight"].shape == (7, 64)
         assert peft.config.num_classes == 7
 
+    @pytest.mark.parametrize("r, targets", [(0, ("fc1", "fc2")), (9, ("fc1",)),
+                                            (2, ("attn",)), (2, ())])
+    def test_count_rejects_what_inject_rejects(self, r, targets):
+        # tiny dims: the smallest matched layer is 8 x 32
+        model = build_model(tiny_test_config(), seed=0)
+        with pytest.raises(ValueError):
+            inject(model, targets=targets, r=r, alpha=4.0, dropout_p=0.0)
+        with pytest.raises(ValueError):
+            adapter_param_count(model.config, r=r, targets=targets)
+
     def test_count_params_walk_vs_closed_form(self):
         cfg = tiny_test_config()
         model = build_model(cfg, seed=0)

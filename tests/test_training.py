@@ -19,6 +19,28 @@ def _p(arr):
     return Tensor(np.asarray(arr, dtype=np.float32), requires_grad=True)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field", [
+        {"lr": 0.0}, {"lr": float("nan")}, {"eps": 0.0}, {"weight_decay": -0.1},
+        {"betas": (0.9,)}, {"betas": (0.9, 1.0)}, {"seed": -1},
+        {"patience": 0}, {"batch_size": 0}])
+    def test_train_config_rejects(self, field):
+        with pytest.raises(ValueError):
+            TrainConfig(**field).validate()
+
+    @pytest.mark.parametrize("field", [
+        {"normalize_mean": (0.5,)}, {"normalize_std": (0.2, 0.2, 0.2, 0.2)},
+        {"normalize_std": (0.2, 0.0, 0.2)}, {"rotation_max_deg": float("nan")},
+        {"hflip_prob": 1.5}, {"resize": 2}])
+    def test_augment_config_rejects(self, field):
+        with pytest.raises(ValueError):
+            AugmentConfig(**field).validate()
+
+    def test_defaults_are_valid(self):
+        TrainConfig().validate()
+        AugmentConfig().validate()
+
+
 class TestAdamwStep:
     def test_zero_grad_no_decay_unchanged(self):
         cfg = TrainConfig(lr=0.1, weight_decay=0.0)
