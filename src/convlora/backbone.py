@@ -3,11 +3,19 @@
 The network is a patch-embedding stem (4x4 convolution, stride 4) followed
 by four stages of residual blocks, with a LayerNorm + 2x2 stride-2
 convolution between stages. Each block runs a 7x7 depthwise convolution,
-then in channel-last layout: LayerNorm, an expansion linear (fc1), GELU,
-global response normalization, and a projection linear (fc2), with the
-result added back onto the block input. Classification happens via global
-average pooling, a final LayerNorm on the pooled features, and a linear
-head.
+a LayerNorm, an expansion linear (fc1), GELU, global response
+normalization, and a projection linear (fc2), with the result added back
+onto the block input. Classification happens via global average pooling,
+a final LayerNorm on the pooled features, and a linear head.
+
+Layout: images, block inputs and block outputs are NCHW. Every layer
+between them runs channel-last ([N, H, W, C]): the stem, each downsample
+and each block branch transpose in, compute, and transpose back. In that
+layout the depthwise convolution is one shifted multiply-accumulate per
+kernel tap, and the stem and downsample convolutions (stride equal to
+kernel size) are one GEMM each (``tensor.depthwise_conv2d_nhwc``,
+``tensor.patch_conv2d_nhwc``). Kernels keep the OIHW layout, so
+checkpoints do not depend on it.
 
 Models are plain data: a config plus an ordered name -> Tensor map with a
 per-parameter trainable flag (``Tensor.requires_grad``). ``forward`` is a
@@ -26,6 +34,9 @@ from .tensor import Tensor
 
 LN_EPS = 1e-6
 INIT_STD = 0.02
+# blocks per stage; the paper's configurations use at most 27, and the
+# parameter list (and a model built from it) grows linearly with depth
+MAX_DEPTH = 1024
 
 # handled by an adapter-aware override when low-rank adapters are attached
 LinearOp = Callable[[str, Tensor, Tensor, Tensor], Tensor]
@@ -51,6 +62,8 @@ class ModelConfig:
             raise ValueError("depths and dims must each have exactly 4 entries")
         if any(d < 1 for d in self.depths) or any(d < 1 for d in self.dims):
             raise ValueError("depths and dims must be positive")
+        if any(d > MAX_DEPTH for d in self.depths):
+            raise ValueError(f"depths must be at most {MAX_DEPTH} blocks per stage")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
         if self.in_channels < 1:
@@ -198,19 +211,16 @@ def build_model(config: ModelConfig, seed: int = 0,
     return Model(config, params, class_names)
 
 
-def _channels_last_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    h = T.transpose(x, (0, 2, 3, 1))
-    h = T.layer_norm(h, gamma, beta, eps=LN_EPS)
-    return T.transpose(h, (0, 3, 1, 2))
-
-
 def block_forward(params: dict[str, Tensor], prefix: str, x: Tensor,
                   linear_op: LinearOp) -> Tensor:
-    """One residual block: x + fc2(grn(gelu(fc1(norm(dwconv(x))))))."""
+    """One residual block: x + fc2(grn(gelu(fc1(norm(dwconv(x)))))).
+
+    Takes and returns NCHW maps; the branch runs channel-last from the
+    depthwise convolution on."""
     p = params
-    h = T.depthwise_conv2d(x, p[prefix + "dwconv.weight"],
-                           p[prefix + "dwconv.bias"], pad=3)
-    h = T.transpose(h, (0, 2, 3, 1))
+    h = T.transpose(x, (0, 2, 3, 1))
+    h = T.depthwise_conv2d_nhwc(h, p[prefix + "dwconv.weight"],
+                                p[prefix + "dwconv.bias"], pad=3)
     h = T.layer_norm(h, p[prefix + "norm.gamma"], p[prefix + "norm.beta"], eps=LN_EPS)
     h = linear_op(prefix + "fc1", h, p[prefix + "fc1.weight"], p[prefix + "fc1.bias"])
     h = T.gelu(h)
@@ -240,14 +250,17 @@ def forward(model: Model, x: Tensor, linear_op: LinearOp | None = None) -> Tenso
     lin = linear_op or _plain_linear
     p = model.params
 
-    h = T.conv2d(x, p["stem.conv.weight"], p["stem.conv.bias"], stride=4, pad=0)
-    h = _channels_last_norm(h, p["stem.norm.gamma"], p["stem.norm.beta"])
+    h = T.transpose(x, (0, 2, 3, 1))
+    h = T.patch_conv2d_nhwc(h, p["stem.conv.weight"], p["stem.conv.bias"])
+    h = T.layer_norm(h, p["stem.norm.gamma"], p["stem.norm.beta"], eps=LN_EPS)
+    h = T.transpose(h, (0, 3, 1, 2))
     for s in range(4):
         if s > 0:
             pre = f"downsample.{s - 1}."
-            h = _channels_last_norm(h, p[pre + "norm.gamma"], p[pre + "norm.beta"])
-            h = T.conv2d(h, p[pre + "conv.weight"], p[pre + "conv.bias"],
-                         stride=2, pad=0)
+            h = T.transpose(h, (0, 2, 3, 1))
+            h = T.layer_norm(h, p[pre + "norm.gamma"], p[pre + "norm.beta"], eps=LN_EPS)
+            h = T.patch_conv2d_nhwc(h, p[pre + "conv.weight"], p[pre + "conv.bias"])
+            h = T.transpose(h, (0, 3, 1, 2))
         for b in range(cfg.depths[s]):
             h = block_forward(p, f"stages.{s}.blocks.{b}.", h, lin)
     h = T.global_avg_pool(h)

@@ -144,6 +144,8 @@ def split(manifest: DatasetManifest, ratios: tuple[float, float, float] = (0.8, 
     """
     if len(ratios) != 3:
         raise ValueError("ratios must have three entries (train, val, test)")
+    if not all(math.isfinite(r) and r >= 0 for r in ratios):
+        raise ValueError(f"ratios must be finite and non-negative, got {tuple(ratios)}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
     out = [replace(s) for s in manifest.samples]

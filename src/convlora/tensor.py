@@ -291,12 +291,40 @@ def _live_taps(size: int, ksz: int, pad: int) -> tuple[int, int]:
     return max(0, pad - out + 1), min(ksz, pad + size)
 
 
-def _pad_hw(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
-    # zero-pad the spatial axes of an NCHW array; a negative amount crops
-    h, w = a.shape[2:]
-    a = a[:, :, max(0, -top):h - max(0, -bottom), max(0, -left):w - max(0, -right)]
-    return np.pad(a, ((0, 0), (0, 0), (max(0, top), max(0, bottom)),
-                      (max(0, left), max(0, right))))
+def _pad_hw(a: np.ndarray, pads: tuple[int, int, int, int], axis: int = 2) -> np.ndarray:
+    # zero-pad the spatial axes (axis, axis + 1) by (top, bottom, left,
+    # right); a negative amount crops. axis is 2 for NCHW, 1 for NHWC
+    top, bottom, left, right = pads
+    h, w = a.shape[axis:axis + 2]
+    index = [slice(None)] * a.ndim
+    index[axis] = slice(max(0, -top), h - max(0, -bottom))
+    index[axis + 1] = slice(max(0, -left), w - max(0, -right))
+    widths = [(0, 0)] * a.ndim
+    widths[axis] = (max(0, top), max(0, bottom))
+    widths[axis + 1] = (max(0, left), max(0, right))
+    return np.pad(a[tuple(index)], widths)
+
+
+def _depthwise_plan(op: str, c: int, h: int, w: int, k: Tensor, b: Tensor | None,
+                    pad: int):
+    """Check a depthwise call; return its live tap rows and columns, and the
+    spatial pads of the input (forward) and of the output gradient (vjp_x)."""
+    if k.data.ndim != 4:
+        raise ShapeError(f"{op}: kernel must be 4-D")
+    kc, one, kh, kw = k.shape
+    if kc != c or one != 1:
+        raise ShapeError(f"{op}: kernel shape {k.shape} does not match {c} channels")
+    if b is not None and b.shape != (c,):
+        raise ShapeError(f"{op}: bias shape {b.shape} does not match ({c},)")
+    if h + 2 * pad - kh + 1 < 1 or w + 2 * pad - kw + 1 < 1:
+        raise ShapeError(f"{op}: kernel larger than padded input")
+    i0, i1 = _live_taps(h, kh, pad)
+    j0, j1 = _live_taps(w, kw, pad)
+    # the input is padded only as far as the live taps reach; the input
+    # gradient is a full correlation restricted to the H x W positions
+    x_pads = (pad - i0, i1 + pad - kh, pad - j0, j1 + pad - kw)
+    g_pads = (i1 - 1 - pad, kh - 1 - pad - i0, j1 - 1 - pad, kw - 1 - pad - j0)
+    return slice(i0, i1), slice(j0, j1), x_pads, g_pads
 
 
 def depthwise_conv2d(x: Tensor, k: Tensor, b: Tensor | None = None,
@@ -310,44 +338,129 @@ def depthwise_conv2d(x: Tensor, k: Tensor, b: Tensor | None = None,
     gradient of a skipped tap is exactly zero. The input gradient is
     computed at the H x W input positions only, never over the padding.
     """
-    if x.data.ndim != 4 or k.data.ndim != 4:
-        raise ShapeError("depthwise_conv2d: input and kernel must be 4-D")
+    if x.data.ndim != 4:
+        raise ShapeError("depthwise_conv2d: input must be 4-D")
     n, c, h, w = x.shape
-    kc, one, kh, kw = k.shape
-    if kc != c or one != 1:
-        raise ShapeError(
-            f"depthwise_conv2d: kernel shape {k.shape} does not match {c} channels")
-    if b is not None and b.shape != (c,):
-        raise ShapeError(f"depthwise_conv2d: bias shape {b.shape} does not match ({c},)")
-    if h + 2 * pad - kh + 1 < 1 or w + 2 * pad - kw + 1 < 1:
-        raise ShapeError("depthwise_conv2d: kernel larger than padded input")
-
-    i0, i1 = _live_taps(h, kh, pad)
-    j0, j1 = _live_taps(w, kw, pad)
-    kl = k.data[:, 0, i0:i1, j0:j1]
-    xp = _pad_hw(x.data, pad - i0, i1 + pad - kh, pad - j0, j1 + pad - kw)
-    win = _windows(xp, i1 - i0, j1 - j0, 1)
+    rows, cols, x_pads, g_pads = _depthwise_plan("depthwise_conv2d", c, h, w, k, b, pad)
+    kl = k.data[:, 0, rows, cols]
+    lh, lw = kl.shape[1:]
+    xp = _pad_hw(x.data, x_pads)
+    win = _windows(xp, lh, lw, 1)
     y = np.einsum("nchwpq,cpq->nchw", win, kl)
     if b is not None:
         y = y + b.data[None, :, None, None]
 
     def vjp_x(g):
-        # full correlation with the flipped live kernel, restricted to the
-        # H x W input positions: pad (or crop) g by what the taps reach
-        gp = _pad_hw(g, i1 - 1 - pad, kh - 1 - pad - i0,
-                     j1 - 1 - pad, kw - 1 - pad - j0)
-        gwin = _windows(gp, i1 - i0, j1 - j0, 1)
+        gwin = _windows(_pad_hw(g, g_pads), lh, lw, 1)
         return np.einsum("nchwpq,cpq->nchw", gwin, np.flip(kl, axis=(1, 2)))
 
     def vjp_k(g):
         dk = np.zeros_like(k.data)
-        dk[:, 0, i0:i1, j0:j1] = np.einsum("nchwpq,nchw->cpq", win, g)
+        dk[:, 0, rows, cols] = np.einsum("nchwpq,nchw->cpq", win, g)
         return dk
 
     if b is None:
         return _node(y, "depthwise_conv2d", (x, k), (vjp_x, vjp_k))
     return _node(y, "depthwise_conv2d", (x, k, b),
                  (vjp_x, vjp_k, lambda g: g.sum(axis=(0, 2, 3))))
+
+
+def _shift_sum(src: np.ndarray, taps: np.ndarray, ho: int, wo: int) -> np.ndarray:
+    # out[n, i, j, c] = sum over (p, q) of src[n, i + p, j + q, c] * taps[p, q, c]:
+    # one multiply-accumulate over the whole channel-last map per tap
+    out = src[:, :ho, :wo] * taps[0, 0]
+    tmp = np.empty_like(out)
+    for p in range(taps.shape[0]):
+        for q in range(taps.shape[1]):
+            if p or q:
+                np.multiply(src[:, p:p + ho, q:q + wo], taps[p, q], out=tmp)
+                out += tmp
+    return out
+
+
+def depthwise_conv2d_nhwc(x: Tensor, k: Tensor, b: Tensor | None = None,
+                          pad: int = 0) -> Tensor:
+    """``depthwise_conv2d`` on channel-last maps: [N, H, W, C] in and out,
+    with the same [C, 1, kh, kw] kernel.
+
+    The forward and the input gradient are one shifted multiply-accumulate
+    per live tap (the taps ``depthwise_conv2d`` keeps), each over the whole
+    map with channels innermost; the kernel gradient is one channel
+    reduction per live tap and exactly zero on the dead ones. It sums in a
+    different order than ``depthwise_conv2d``, so the two agree to rounding.
+    """
+    if x.data.ndim != 4:
+        raise ShapeError("depthwise_conv2d_nhwc: input must be 4-D")
+    n, h, w, c = x.shape
+    rows, cols, x_pads, g_pads = _depthwise_plan("depthwise_conv2d_nhwc",
+                                                 c, h, w, k, b, pad)
+    taps = np.ascontiguousarray(k.data[:, 0, rows, cols].transpose(1, 2, 0))
+    lh, lw = taps.shape[:2]
+    xp = _pad_hw(x.data, x_pads, axis=1)
+    ho, wo = xp.shape[1] - lh + 1, xp.shape[2] - lw + 1
+    y = _shift_sum(xp, taps, ho, wo)
+    if b is not None:
+        y += b.data
+
+    def vjp_x(g):
+        return _shift_sum(_pad_hw(g, g_pads, axis=1), taps[::-1, ::-1], h, w)
+
+    def vjp_k(g):
+        dk = np.zeros_like(k.data)
+        for p in range(lh):
+            for q in range(lw):
+                dk[:, 0, rows.start + p, cols.start + q] = np.einsum(
+                    "nhwc,nhwc->c", xp[:, p:p + ho, q:q + wo], g)
+        return dk
+
+    if b is None:
+        return _node(y, "depthwise_conv2d_nhwc", (x, k), (vjp_x, vjp_k))
+    return _node(y, "depthwise_conv2d_nhwc", (x, k, b),
+                 (vjp_x, vjp_k, lambda g: g.sum(axis=(0, 1, 2))))
+
+
+def patch_conv2d_nhwc(x: Tensor, k: Tensor, b: Tensor | None = None) -> Tensor:
+    """Convolution of [N, H, W, C] input with an OIHW [O, C, kh, kw] kernel
+    at stride (kh, kw) and no padding, giving [N, H/kh, W/kw, O]: the patch
+    embedding and downsampling layers.
+
+    The patches do not overlap, so the forward is a reshape of the input into
+    one row per patch followed by one GEMM; the input gradient is one GEMM
+    followed by the inverse reshape, and the kernel gradient is one GEMM.
+    """
+    if x.data.ndim != 4 or k.data.ndim != 4:
+        raise ShapeError("patch_conv2d_nhwc: input and kernel must be 4-D")
+    n, h, w, c = x.shape
+    o, kc, kh, kw = k.shape
+    if kc != c:
+        raise ShapeError(f"patch_conv2d_nhwc: kernel expects {kc} input channels, got {c}")
+    if b is not None and b.shape != (o,):
+        raise ShapeError(f"patch_conv2d_nhwc: bias shape {b.shape} does not match ({o},)")
+    if h < kh or w < kw or h % kh or w % kw:
+        raise ShapeError(f"patch_conv2d_nhwc: a {h}x{w} map does not tile into "
+                         f"{kh}x{kw} patches")
+    ho, wo = h // kh, w // kw
+
+    # one row per patch, ordered (channel, patch row, patch column) like a
+    # flattened OIHW kernel, so the kernel needs no reordering
+    patches = x.data.reshape(n, ho, kh, wo, kw, c).transpose(0, 1, 3, 5, 2, 4)
+    rows = patches.reshape(-1, c * kh * kw)
+    wmat = k.data.reshape(o, -1)
+    y = (rows @ wmat.T).reshape(n, ho, wo, o)
+    if b is not None:
+        y += b.data
+
+    def vjp_x(g):
+        d = (g.reshape(-1, o) @ wmat).reshape(n, ho, wo, c, kh, kw)
+        return d.transpose(0, 1, 4, 2, 5, 3).reshape(x.shape)
+
+    def vjp_k(g):
+        return (g.reshape(-1, o).T @ rows).reshape(k.shape)
+
+    if b is None:
+        return _node(y, "patch_conv2d_nhwc", (x, k), (vjp_x, vjp_k))
+    return _node(y, "patch_conv2d_nhwc", (x, k, b),
+                 (vjp_x, vjp_k, lambda g: g.reshape(-1, o).sum(axis=0)))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
@@ -381,11 +494,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian error linear unit, x * Phi(x) (erf form, no tanh approximation)."""
+    """Exact Gaussian error linear unit, x * Phi(x) (erf form, no tanh approximation).
+
+    The Gaussian density the gradient needs is computed in the backward
+    pass only, so forward-only (no-grad) calls skip its ``exp``.
+    """
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
 
     def vjp(g):
+        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
         return g * (cdf + x.data * pdf)
 
     return _node(x.data * cdf, "gelu", (x,), (vjp,))

@@ -6,6 +6,7 @@ from _oracles import closed_form_backbone_count as closed_form_count
 
 from convlora import tensor as T
 from convlora.backbone import (
+    MAX_DEPTH,
     Model,
     ModelConfig,
     base_config,
@@ -36,6 +37,14 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             build_model(ModelConfig(depths=(1, 1, 1), dims=(8, 16, 32, 64),
                                     num_classes=4, image_size=32))
+
+    def test_depth_bound(self):
+        ok = ModelConfig(depths=(1, 1, MAX_DEPTH, 1), dims=(8, 16, 32, 64),
+                         num_classes=4, image_size=32)
+        ok.validate()
+        with pytest.raises(ValueError, match="at most"):
+            ModelConfig(depths=(1, 1, MAX_DEPTH + 1, 1), dims=(8, 16, 32, 64),
+                        num_classes=4, image_size=32).validate()
 
     def test_bad_image_size(self):
         with pytest.raises(ValueError):
@@ -111,6 +120,58 @@ class TestForward:
         x = T.Tensor(rng.normal(size=(1, 16, 8, 8)).astype(np.float32))
         out = block_forward(model.params, pre, x, lambda n, a, w, b: T.linear(a, w, b))
         assert np.array_equal(out.data, x.data)
+
+
+def _nchw_reference_forward(model, x):
+    """The backbone written with the NCHW ops ``conv2d`` and
+    ``depthwise_conv2d``, transposing only around each LayerNorm."""
+    p, cfg = model.params, model.config
+
+    def norm(h, pre):
+        h = T.layer_norm(T.transpose(h, (0, 2, 3, 1)), p[pre + "gamma"], p[pre + "beta"],
+                         eps=1e-6)
+        return T.transpose(h, (0, 3, 1, 2))
+
+    h = norm(T.conv2d(x, p["stem.conv.weight"], p["stem.conv.bias"], stride=4),
+             "stem.norm.")
+    for s in range(4):
+        if s > 0:
+            pre = f"downsample.{s - 1}."
+            h = T.conv2d(norm(h, pre + "norm."), p[pre + "conv.weight"],
+                         p[pre + "conv.bias"], stride=2)
+        for b in range(cfg.depths[s]):
+            pre = f"stages.{s}.blocks.{b}."
+            r = T.depthwise_conv2d(h, p[pre + "dwconv.weight"], p[pre + "dwconv.bias"],
+                                   pad=3)
+            r = T.layer_norm(T.transpose(r, (0, 2, 3, 1)), p[pre + "norm.gamma"],
+                             p[pre + "norm.beta"], eps=1e-6)
+            r = T.grn(T.gelu(T.linear(r, p[pre + "fc1.weight"], p[pre + "fc1.bias"])),
+                      p[pre + "grn.gamma"], p[pre + "grn.beta"], eps=1e-6)
+            r = T.linear(r, p[pre + "fc2.weight"], p[pre + "fc2.bias"])
+            h = T.add(h, T.transpose(r, (0, 3, 1, 2)))
+    h = T.layer_norm(T.global_avg_pool(h), p["final_norm.gamma"], p["final_norm.beta"],
+                     eps=1e-6)
+    return T.linear(h, p["head.weight"], p["head.bias"])
+
+
+class TestChannelLastLayout:
+    @pytest.mark.parametrize("config", [
+        tiny_test_config(num_classes=6),
+        ModelConfig(depths=(1, 1, 1, 1), dims=(128, 256, 512, 1024), num_classes=6,
+                    image_size=32),
+    ], ids=["tiny", "base-dims"])
+    def test_logits_match_nchw_reference(self, config):
+        model = build_model(config, seed=11)
+        rng = np.random.default_rng(12)
+        # nonzero GRN affines, so every layer of the branch is exercised
+        for name, t in model.params.items():
+            if ".grn." in name:
+                t.data[:] = rng.normal(scale=0.5, size=t.shape)
+        x = T.Tensor(rng.normal(size=(3, 3, 32, 32)).astype(np.float32))
+        with T.no_grad():
+            got = forward(model, x).data
+            ref = _nchw_reference_forward(model, x).data
+        np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-5)
 
 
 def _block_params(rng, c, mlp=4):

@@ -1,6 +1,11 @@
-"""End-to-end CLI tests driving the real command entry point in-process."""
+"""End-to-end CLI tests driving the real command entry point in-process,
+plus a few through ``python -m convlora`` in a subprocess."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,6 +388,10 @@ MALFORMED = [
                  id="model-seed-negative"),
     pytest.param("train", ["--lora.rank", "2", "--data.ratios", "1.5,-0.25,-0.25"],
                  id="ratios-negative"),
+    pytest.param("train", ["--lora.rank", "2", "--data.ratios", "0.5,nan,0.5"],
+                 id="ratios-nan"),
+    pytest.param("train", ["--lora.rank", "2", "--data.ratios", "inf,0,0"],
+                 id="ratios-inf"),
     pytest.param("train", ["--lora.rank", "2", "--data.ratios", "0.9,0.1,0"],
                  id="no-test-split"),
 ]
@@ -438,3 +447,28 @@ TYPED_FLAGS = sorted(path for path, default in cli._leaves(cli.DEFAULT_CONFIG)
                                        "fc1", "fc1,fc2,head", "1,1,1,1"])))
 def test_params_flag_text_exits_0_or_2(path, text):
     assert run(["params", f"--{path}={text}"]) in (0, 2)
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def run_module(*argv):
+    """``python -m convlora ARGV`` from a checkout, in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "convlora", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_the_cli(self):
+        proc = run_module("params", "--model.num_classes", "1000",
+                          "--lora.enabled", "false")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0].startswith("total\t")
+
+    def test_huge_depth_exits_2_with_one_line(self):
+        # used to build one list entry per parameter before printing
+        proc = run_module("params", "--model.depths", "1,1,1000000,1")
+        assert proc.returncode == 2
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err

@@ -198,6 +198,14 @@ class TestSplit:
         with pytest.raises(ValueError):
             D.split(_manifest(10), ratios=(0.5, 0.2, 0.2))
 
+    @pytest.mark.parametrize("by_group", [False, True])
+    @pytest.mark.parametrize("ratios", [(1.5, -0.25, -0.25), (float("nan"), 0.5, 0.5),
+                                        (float("inf"), 0.0, 0.0),
+                                        (0.5, float("-inf"), 0.5)])
+    def test_negative_or_nonfinite_ratios(self, ratios, by_group):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            D.split(_manifest(12, num_classes=3), ratios=ratios, by_group=by_group)
+
     @given(st.integers(min_value=3, max_value=60), st.integers(min_value=0, max_value=99))
     @settings(max_examples=25, deadline=None)
     def test_stratified_counts_within_one(self, per_class, seed):

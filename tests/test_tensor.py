@@ -198,6 +198,138 @@ class TestDepthwiseKernelPaths:
 
 
 # ---------------------------------------------------------------------------
+# channel-last depthwise and patch convolutions
+# ---------------------------------------------------------------------------
+
+def nhwc(a):
+    return np.ascontiguousarray(np.moveaxis(a, 1, 3))
+
+
+def nchw(a):
+    return np.ascontiguousarray(np.moveaxis(a, 3, 1))
+
+
+class TestDepthwiseConv2dNhwc:
+    @given(n=st.integers(1, 2), c=st.integers(1, 3), h=st.integers(1, 6),
+           w=st.integers(1, 6), kh=st.integers(1, 5), kw=st.integers(1, 5),
+           pad=st.integers(0, 5), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_float64_loop_reference(self, n, c, h, w, kh, kw, pad, seed):
+        # pad > k - 1 and maps smaller than the kernel are both drawn
+        if h + 2 * pad < kh or w + 2 * pad < kw:
+            return
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c, h, w))
+        k = rng.normal(size=(c, 1, kh, kw))
+        b = rng.normal(size=c)
+        xt, kt, bt = t64(nhwc(x)), t64(k), t64(b)
+        y = T.depthwise_conv2d_nhwc(xt, kt, bt, pad=pad)
+        np.testing.assert_allclose(
+            nchw(y.data), depthwise_conv2d_loops(x, k, pad) + b[None, :, None, None],
+            rtol=1e-12, atol=1e-12)
+        g = rng.normal(size=(n, c) + y.shape[1:3])
+        y.backward(nhwc(g))
+        dx, dk = depthwise_conv2d_vjps_loops(x, k, g, pad)
+        np.testing.assert_allclose(nchw(xt.grad), dx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(kt.grad, dk, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(bt.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+    @pytest.mark.parametrize("hw,live", [(1, slice(3, 4)), (2, slice(2, 5))])
+    def test_kernel_gradient_exactly_zero_on_dead_taps(self, hw, live):
+        rng = np.random.default_rng(hw)
+        x = rng.normal(size=(2, hw, hw, 3))
+        k = t64(rng.normal(size=(3, 1, 7, 7)))
+        T.depthwise_conv2d_nhwc(t64(x, False), k, pad=3).backward(
+            rng.normal(size=(2, hw, hw, 3)))
+        dead = np.ones((7, 7), dtype=bool)
+        dead[live, live] = False
+        assert np.all(k.grad[:, 0, dead] == 0.0)
+        assert np.all(k.grad[:, 0, live, live] != 0.0)
+
+    @pytest.mark.parametrize("n", [32, 4])
+    @pytest.mark.parametrize("c,hw", BLOCK_SHAPES)
+    def test_float32_close_to_nchw_op(self, n, c, hw):
+        rng = np.random.default_rng(c + hw + n)
+        x = rng.normal(size=(n, c, hw, hw)).astype(np.float32)
+        k = T.Tensor((0.1 * rng.normal(size=(c, 1, 7, 7))).astype(np.float32))
+        ref = T.depthwise_conv2d(T.Tensor(x, requires_grad=True), k, pad=3)
+        y = T.depthwise_conv2d_nhwc(T.Tensor(nhwc(x), requires_grad=True), k, pad=3)
+        assert y.dtype == np.float32
+        np.testing.assert_allclose(nchw(y.data), ref.data, rtol=0, atol=2e-6)
+        g = rng.normal(size=ref.shape).astype(np.float32)
+        np.testing.assert_allclose(nchw(y._vjps[0](nhwc(g))), ref._vjps[0](g),
+                                   rtol=0, atol=2e-6)
+
+    @pytest.mark.parametrize("hw,ksz,pad", [(1, 7, 3), (2, 7, 3), (4, 7, 3),
+                                            (5, 3, 0), (2, 3, 4)])
+    def test_grad_check(self, hw, ksz, pad):
+        rng = np.random.default_rng(hw * ksz + pad)
+        x = t64(rng.normal(size=(2, hw, hw, 3)))
+        k = t64(rng.normal(size=(3, 1, ksz, ksz)))
+        b = t64(rng.normal(size=3))
+
+        def f(a, c, d):
+            return T.tsum(T.gelu(T.depthwise_conv2d_nhwc(a, c, d, pad=pad)))
+
+        assert T.grad_check(f, [x, k, b]) < 1e-7
+
+    def test_channel_count_mismatch(self):
+        with pytest.raises(T.ShapeError):
+            T.depthwise_conv2d_nhwc(T.Tensor(np.zeros((1, 8, 8, 3))),
+                                    T.Tensor(np.zeros((2, 1, 3, 3))), pad=1)
+
+
+# (in channels, out channels, map size, patch) of the stem and the three
+# downsamples on 32 px inputs, in the tiny and base configs
+PATCH_SHAPES = [(3, 8, 32, 4), (8, 16, 8, 2), (16, 32, 4, 2), (32, 64, 2, 2),
+                (3, 128, 32, 4), (128, 256, 8, 2), (256, 512, 4, 2), (512, 1024, 2, 2)]
+
+
+class TestPatchConv2dNhwc:
+    @pytest.mark.parametrize("c,o,hw,p", PATCH_SHAPES)
+    def test_close_to_strided_conv2d(self, c, o, hw, p):
+        rng = np.random.default_rng(c + o + hw)
+        x = rng.normal(size=(4, c, hw, hw)).astype(np.float32)
+        k = (0.05 * rng.normal(size=(o, c, p, p))).astype(np.float32)
+        b = (0.1 * rng.normal(size=o)).astype(np.float32)
+        ref_x, ref_k, ref_b = (T.Tensor(a, requires_grad=True) for a in (x, k, b))
+        ref = T.conv2d(ref_x, ref_k, ref_b, stride=p, pad=0)
+        g = rng.normal(size=ref.shape).astype(np.float32)
+        ref.backward(g)
+        xt, kt, bt = (T.Tensor(a, requires_grad=True) for a in (nhwc(x), k, b))
+        y = T.patch_conv2d_nhwc(xt, kt, bt)
+        y.backward(nhwc(g))
+        assert y.dtype == np.float32
+        np.testing.assert_allclose(nchw(y.data), ref.data, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(nchw(xt.grad), ref_x.grad, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(kt.grad, ref_k.grad, rtol=1e-4, atol=1e-4)
+        np.testing.assert_allclose(bt.grad, ref_b.grad, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("shape,kshape", [((2, 8, 8, 2), (3, 2, 4, 4)),
+                                              ((1, 4, 6, 3), (2, 3, 2, 3))])
+    def test_grad_check(self, shape, kshape):
+        rng = np.random.default_rng(len(shape) + kshape[2])
+        x = t64(rng.normal(size=shape))
+        k = t64(rng.normal(size=kshape))
+        b = t64(rng.normal(size=kshape[0]))
+
+        def f(a, c, d):
+            return T.tsum(T.gelu(T.patch_conv2d_nhwc(a, c, d)))
+
+        assert T.grad_check(f, [x, k, b]) < 1e-7
+
+    def test_map_must_tile_into_patches(self):
+        with pytest.raises(T.ShapeError):
+            T.patch_conv2d_nhwc(T.Tensor(np.zeros((1, 6, 6, 3))),
+                                T.Tensor(np.zeros((4, 3, 4, 4))))
+
+    def test_channel_mismatch(self):
+        with pytest.raises(T.ShapeError):
+            T.patch_conv2d_nhwc(T.Tensor(np.zeros((1, 8, 8, 3))),
+                                T.Tensor(np.zeros((4, 2, 4, 4))))
+
+
+# ---------------------------------------------------------------------------
 # layer norm / gelu / grn / pool
 # ---------------------------------------------------------------------------
 
@@ -242,6 +374,14 @@ class TestGelu:
 
     def test_at_one(self):
         np.testing.assert_allclose(T.gelu(t64([1.0])).data[0], 0.841345, atol=1e-6)
+
+    def test_gradient_is_cdf_plus_x_pdf(self):
+        x = np.linspace(-4.0, 4.0, 17)
+        xt = t64(x)
+        T.gelu(xt).backward(np.ones_like(x))
+        cdf = 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
+        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        np.testing.assert_allclose(xt.grad, cdf + x * pdf, rtol=1e-12, atol=1e-15)
 
 
 class TestGrn:
