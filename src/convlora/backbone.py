@@ -183,14 +183,6 @@ class Model:
         return Model(self.config, params, names)
 
 
-def frozen_view(t: Tensor) -> Tensor:
-    """A frozen leaf over a read-only view of ``t``'s array: the memory is
-    shared, and an in-place write through the view raises ValueError."""
-    view = t.data.view()
-    view.flags.writeable = False
-    return Tensor(view)
-
-
 def build_model(config: ModelConfig, seed: int = 0,
                 class_names: list[str] | None = None) -> Model:
     """Materialize parameters: truncated-normal weights (std 0.02), zero

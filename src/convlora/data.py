@@ -338,6 +338,8 @@ def synth_domain(out_root: str | Path, num_classes: int, samples_per_class: int,
         raise ValueError("num_classes must be >= 2")
     if samples_per_class < 1:
         raise ValueError("samples_per_class must be >= 1")
+    if image_size < 1:
+        raise ValueError("image_size must be >= 1")
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     for ci in range(num_classes):

@@ -10,7 +10,8 @@ as a plain linear layer.
 Injection freezes every base parameter, reinitializes the classification
 head for the task's class count, and leaves exactly {all A, all B, head
 weight, head bias} trainable. The frozen tensors are read-only views of the
-source model's arrays, so any number of adapted models hold one base.
+source model's arrays, so any number of adapted models hold one base;
+``with_trainables`` builds every such partly frozen model.
 """
 
 from __future__ import annotations
@@ -158,27 +159,38 @@ def inject(model: Model, targets: tuple[str, ...] = DEFAULT_TARGETS,
     return PeftModel(base=_task_base(model, seed, num_classes), adapters=adapters)
 
 
-def with_trainable_head(model: Model, head_weight: np.ndarray,
-                        head_bias: np.ndarray, **fields) -> Model:
-    """``model`` with every tensor a frozen read-only view of its array,
-    except a trainable head that takes over the given arrays; ``fields``
-    replace other Model fields (config, class_names)."""
-    params = {name: backbone.frozen_view(t) for name, t in model.params.items()}
-    params["head.weight"] = Tensor(head_weight, requires_grad=True)
-    params["head.bias"] = Tensor(head_bias, requires_grad=True)
-    return replace(model, params=params, **fields)
+def with_trainables(model, arrays: dict[str, np.ndarray], **fields):
+    """``model`` (a Model or a PeftModel) with each tensor named in ``arrays``
+    by its ``trainable_params`` name a trainable leaf that takes over the
+    given array, and every other tensor a frozen leaf over a read-only view
+    of the model's own array: the memory is shared, and an in-place write
+    through the view raises ValueError. ``fields`` replace Model fields
+    (config, class_names)."""
+    def leaf(name: str, t: Tensor) -> Tensor:
+        if name in arrays:
+            return Tensor(arrays[name], requires_grad=True)
+        view = t.data.view()
+        view.flags.writeable = False
+        return Tensor(view)
+
+    if isinstance(model, PeftModel):
+        return PeftModel(with_trainables(model.base, arrays, **fields), {
+            name: replace(ad, A=leaf(f"lora.{name}.A", ad.A), B=leaf(f"lora.{name}.B", ad.B))
+            for name, ad in model.adapters.items()})
+    return replace(model, params={n: leaf(n, t) for n, t in model.params.items()},
+                   **fields)
 
 
 def _task_base(model: Model, seed: int, num_classes: int | None) -> Model:
     """The frozen base with a trainable head: a copy of the model's own, or a
     fresh one seeded by (seed, 0x6EAD) for a different class count."""
     if num_classes is None or num_classes == model.config.num_classes:
-        return with_trainable_head(model, model.params["head.weight"].data.copy(),
-                                   model.params["head.bias"].data.copy())
+        return with_trainables(model, {n: model.params[n].data.copy()
+                                       for n in ("head.weight", "head.bias")})
     head_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6EAD]))
-    return with_trainable_head(
-        model, trunc_normal(head_rng, (num_classes, model.config.dims[3])),
-        np.zeros(num_classes, dtype=np.float32),
+    return with_trainables(
+        model, {"head.weight": trunc_normal(head_rng, (num_classes, model.config.dims[3])),
+                "head.bias": np.zeros(num_classes, dtype=np.float32)},
         config=replace(model.config, num_classes=num_classes))
 
 

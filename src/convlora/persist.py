@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,7 @@ import numpy as np
 
 from .backbone import Model, ModelConfig, linear_layer_shapes, param_shapes
 from .errors import CompatibilityError
-from .lora import LoraAdapter, PeftModel, with_trainable_head
+from .lora import LoraAdapter, PeftModel, with_trainables
 from .tensor import Tensor
 
 MAGIC = b"CVLORA01"
@@ -119,37 +120,108 @@ class AdapterCheckpoint:
                     f"adapter checkpoint expects {field}="
                     f"{getattr(self.model_config, field)}, base has "
                     f"{getattr(base.config, field)}")
-        adapters: dict[str, LoraAdapter] = {}
-        if self.lora:
-            layer_shapes = linear_layer_shapes(self.model_config)
-            for target in self.lora["targets"]:
-                a = self.tensors[f"lora.{target}.A"]
-                b = self.tensors[f"lora.{target}.B"]
-                if target not in layer_shapes:
-                    raise CompatibilityError(f"adapter target {target!r} not in model")
-                d, k = layer_shapes[target]
-                if a.shape[1] != k or b.shape[0] != d or a.shape[0] != b.shape[1]:
-                    raise CompatibilityError(
-                        f"adapter {target!r} shapes A{a.shape} B{b.shape} do not "
-                        f"fit layer ({d}, {k})")
-                adapters[target] = LoraAdapter(
-                    A=Tensor(a.copy(), requires_grad=True),
-                    B=Tensor(b.copy(), requires_grad=True),
-                    rank=self.lora["rank"], alpha=self.lora["alpha"],
-                    dropout_p=self.lora["dropout_p"], target=target)
-        frozen = with_trainable_head(
-            base, self.tensors["head.weight"].copy(), self.tensors["head.bias"].copy(),
-            config=self.model_config, class_names=self.class_names or None)
-        return PeftModel(base=frozen, adapters=adapters)
+        # placeholders for the adapters: with_trainables swaps in copies
+        adapters = {target: LoraAdapter(
+            A=Tensor(self.tensors[f"lora.{target}.A"]),
+            B=Tensor(self.tensors[f"lora.{target}.B"]),
+            rank=self.lora["rank"], alpha=self.lora["alpha"],
+            dropout_p=self.lora["dropout_p"], target=target)
+            for target in (self.lora["targets"] if self.lora else ())}
+        return with_trainables(PeftModel(base, adapters),
+                               {name: a.copy() for name, a in self.tensors.items()},
+                               config=self.model_config,
+                               class_names=self.class_names or None)
+
+
+def _typed(value, *types: type) -> bool:
+    # exact JSON types, so that a bool is not taken for a number
+    return type(value) in types
+
+
+def _expected_shapes(path, header: dict, config: ModelConfig) -> dict[str, tuple]:
+    """Name -> shape of every tensor the header's kind, config and adapter
+    settings imply."""
+    shapes = {name: shape for name, shape, _ in param_shapes(config)}
+    if header["kind"] == "base":
+        return shapes
+    shapes = {name: shapes[name] for name in ("head.weight", "head.bias")}
+    lora = header.get("lora")
+    if lora is None:
+        return shapes
+    if not (_typed(lora, dict) and _typed(lora.get("rank"), int) and lora["rank"] >= 1
+            and _typed(lora.get("alpha"), int, float)
+            and _typed(lora.get("dropout_p"), int, float) and 0 <= lora["dropout_p"] < 1
+            and _typed(lora.get("targets"), list)):
+        raise CheckpointError(f"{path}: header field 'lora' needs an int rank >= 1, "
+                              f"a numeric alpha, a dropout_p in [0, 1) and a list "
+                              f"of targets")
+    layers = linear_layer_shapes(config)
+    for target in lora["targets"]:
+        if not _typed(target, str) or target not in layers:
+            raise CheckpointError(f"{path}: adapter target {target!r} is not a "
+                                  f"layer of the model")
+        d, k = layers[target]
+        shapes[f"lora.{target}.A"] = (lora["rank"], k)
+        shapes[f"lora.{target}.B"] = (d, lora["rank"])
+    return shapes
+
+
+def _read_header(path, header_bytes: bytes) -> tuple[dict, ModelConfig, dict]:
+    """The header, its model config and its tensor index (name -> (shape,
+    byte offset)). The index must name exactly the tensors the config and
+    adapter settings imply, at their shapes; every failure raises
+    CheckpointError."""
+    try:
+        header = json.loads(header_bytes.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"{path}: unreadable header: {e}") from e
+    if not _typed(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    if header.get("format_version") != FORMAT_VERSION:
+        raise CheckpointError(
+            f"{path}: unsupported format version {header.get('format_version')}")
+    for key, types in (("kind", (str,)), ("model_config", (dict,)),
+                       ("tensors", (list,)), ("payload_nbytes", (int,)),
+                       ("payload_sha256", (str,)), ("class_names", (list, type(None)))):
+        if not _typed(header.get(key), *types):
+            raise CheckpointError(f"{path}: header field {key!r} is missing or "
+                                  f"not a {'/'.join(t.__name__ for t in types)}")
+    if header["kind"] not in ("base", "adapter"):
+        raise CheckpointError(f"{path}: unknown checkpoint kind {header['kind']!r}")
+    if not all(_typed(n, str) for n in header["class_names"] or ()):
+        raise CheckpointError(f"{path}: class names must be strings")
+    try:
+        config = ModelConfig.from_dict(header["model_config"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad model_config: {e!r}") from e
+
+    index: dict[str, tuple[tuple, object]] = {}
+    for entry in header["tensors"]:
+        if not (_typed(entry, dict) and _typed(entry.get("name"), str)
+                and _typed(entry.get("shape"), list)
+                and all(_typed(n, int) and n >= 0 for n in entry["shape"])
+                and entry["name"] not in index):
+            raise CheckpointError(f"{path}: bad or repeated tensor index entry {entry!r}")
+        index[entry["name"]] = (tuple(entry["shape"]), entry.get("offset"))
+    expected = _expected_shapes(path, header, config)
+    for name in sorted(expected.keys() | index.keys()):
+        got = list(index[name][0]) if name in index else "nothing"
+        want = list(expected[name]) if name in expected else "nothing"
+        if got != want:
+            raise CheckpointError(f"{path}: tensor {name!r}: the index has "
+                                  f"{got}, the config implies {want}")
+    return header, config, index
 
 
 def load(path: str | Path):
     """Read a checkpoint; returns a Model or an AdapterCheckpoint.
 
-    Verifies the magic, format version, payload length and checksum;
-    corruption anywhere raises CheckpointError. The payload is read once
-    into a single float32 array and every tensor is a view into it, so a
-    load holds one copy of the file's tensors.
+    Verifies the magic, the header's fields and types, a tensor index that
+    names exactly the tensors the config implies at their shapes, the
+    payload length and the checksum; corruption anywhere raises
+    CheckpointError. The payload is read once into a single float32 array
+    and every tensor is a view into it, so a load holds one copy of the
+    file's tensors.
     """
     with open(path, "rb") as f:
         prefix = f.read(len(MAGIC) + 4)
@@ -159,16 +231,10 @@ def load(path: str | Path):
         header_bytes = f.read(header_len)
         if len(header_bytes) < header_len:
             raise CheckpointError(f"{path}: truncated header")
-        try:
-            header = json.loads(header_bytes.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise CheckpointError(f"{path}: unreadable header: {e}") from e
-        if header.get("format_version") != FORMAT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported format version {header.get('format_version')}")
+        header, config, index = _read_header(path, header_bytes)
 
         nbytes = header["payload_nbytes"]
-        if not isinstance(nbytes, int) or nbytes < 0 or nbytes % 4:
+        if nbytes < 0 or nbytes % 4:
             raise CheckpointError(f"{path}: payload size {nbytes!r} is not float32")
         on_disk = os.fstat(f.fileno()).st_size - f.tell()
         if on_disk > nbytes:
@@ -183,20 +249,18 @@ def load(path: str | Path):
         raise CheckpointError(f"{path}: payload checksum mismatch")
 
     tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        size = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        offset = entry["offset"]
+    for name, (shape, offset) in index.items():
+        size = math.prod(shape)
         # views must start on a float32 boundary of the aligned payload array
-        if (not isinstance(offset, int) or offset % 4 or offset < 0
+        if (not _typed(offset, int) or offset % 4 or offset < 0
                 or offset // 4 + size > payload.size):
             raise CheckpointError(
-                f"{path}: tensor {entry['name']!r} at byte offset {offset} "
+                f"{path}: tensor {name!r} at byte offset {offset} "
                 f"does not fit the float32 payload")
         start = offset // 4
-        tensors[entry["name"]] = payload[start:start + size].reshape(entry["shape"])
+        tensors[name] = payload[start:start + size].reshape(shape)
 
-    config = ModelConfig.from_dict(header["model_config"])
-    class_names = header.get("class_names")
+    class_names = header["class_names"]
     if header["kind"] == "base":
         params = {name: Tensor(tensors[name], requires_grad=True)
                   for name, _, _ in param_shapes(config)}

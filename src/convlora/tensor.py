@@ -1,10 +1,15 @@
 """Dense arrays with reverse-mode automatic differentiation.
 
 A :class:`Tensor` wraps a numpy array. While gradients are enabled, every
-operation records its inputs and a vector-Jacobian product per input on the
-output tensor; the recorded graph is the tape. ``Tensor.backward`` walks the
-tape once, in reverse execution order, accumulating gradients additively
-into every tensor that requires them.
+operation records on its output one edge per input that requires grad: the
+input and the vector-Jacobian product that carries the output's gradient
+back to it. The recorded graph is the tape. Frozen inputs (``requires_grad``
+False) and absent ones (a ``None`` bias) keep no edge, so a frozen weight's
+VJP, and the arrays only that VJP needs, are dropped as soon as the op
+returns. Whether an input requires grad is read when the op is recorded:
+changing the flag afterwards does not change a tape already built.
+``Tensor.backward`` walks the tape once, in reverse execution order,
+accumulating gradients additively into every tensor on it.
 
 float32 is the working precision. Gradient checking against central finite
 differences is unreliable in float32, so ``grad_check`` requires float64
@@ -67,7 +72,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._vjps: tuple[Callable[[np.ndarray], np.ndarray] | None, ...] = ()
+        self._vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -125,16 +130,12 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.asarray(grad, dtype=self.data.dtype))
         for node in reversed(order):
-            if not node._parents:
-                continue
-            g = node.grad
             for parent, vjp in zip(node._parents, node._vjps):
-                if parent.requires_grad and vjp is not None:
-                    parent._accumulate(vjp(g))
+                parent._accumulate(vjp(node.grad))
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -146,14 +147,19 @@ def _finite_or_raise(arr: np.ndarray, op: str) -> None:
         raise NumericsError(f"{op} produced non-finite values")
 
 
-def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
-          vjps: Sequence[Callable[[np.ndarray], np.ndarray] | None]) -> Tensor:
+def _node(data: np.ndarray, op: str, inputs: Sequence[Tensor | None],
+          vjps: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """The output tensor of an op, with one edge per input that is not None
+    and requires grad; ``vjps[i]`` maps the output's gradient to ``inputs[i]``'s.
+    The output requires grad exactly when it has an edge."""
     _finite_or_raise(data, op)
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjps = tuple(vjps)
+    if _grad_enabled:
+        edges = [(p, vjp) for p, vjp in zip(inputs, vjps)
+                 if p is not None and p.requires_grad]
+        if edges:
+            out.requires_grad = True
+            out._parents, out._vjps = (tuple(e) for e in zip(*edges))
     return out
 
 
@@ -208,8 +214,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def vjp_w(g):
         return g.reshape(-1, d).T @ rows
 
-    if b is None:
-        return _node(y, "linear", (x, w), (vjp_x, vjp_w))
     return _node(y, "linear", (x, w, b),
                  (vjp_x, vjp_w, lambda g: g.reshape(-1, d).sum(axis=0)))
 
@@ -278,8 +282,6 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor | None = None,
         win = _windows(xp, kh, kw, stride)
         return np.einsum("nchwpq,nohw->ocpq", win, g)
 
-    if b is None:
-        return _node(y, "conv2d", (x, k), (vjp_x, vjp_k))
     return _node(y, "conv2d", (x, k, b),
                  (vjp_x, vjp_k, lambda g: g.sum(axis=(0, 2, 3))))
 
@@ -359,8 +361,6 @@ def depthwise_conv2d(x: Tensor, k: Tensor, b: Tensor | None = None,
         dk[:, 0, rows, cols] = np.einsum("nchwpq,nchw->cpq", win, g)
         return dk
 
-    if b is None:
-        return _node(y, "depthwise_conv2d", (x, k), (vjp_x, vjp_k))
     return _node(y, "depthwise_conv2d", (x, k, b),
                  (vjp_x, vjp_k, lambda g: g.sum(axis=(0, 2, 3))))
 
@@ -413,8 +413,6 @@ def depthwise_conv2d_nhwc(x: Tensor, k: Tensor, b: Tensor | None = None,
                     "nhwc,nhwc->c", xp[:, p:p + ho, q:q + wo], g)
         return dk
 
-    if b is None:
-        return _node(y, "depthwise_conv2d_nhwc", (x, k), (vjp_x, vjp_k))
     return _node(y, "depthwise_conv2d_nhwc", (x, k, b),
                  (vjp_x, vjp_k, lambda g: g.sum(axis=(0, 1, 2))))
 
@@ -457,8 +455,6 @@ def patch_conv2d_nhwc(x: Tensor, k: Tensor, b: Tensor | None = None) -> Tensor:
     def vjp_k(g):
         return (g.reshape(-1, o).T @ rows).reshape(k.shape)
 
-    if b is None:
-        return _node(y, "patch_conv2d_nhwc", (x, k), (vjp_x, vjp_k))
     return _node(y, "patch_conv2d_nhwc", (x, k, b),
                  (vjp_x, vjp_k, lambda g: g.reshape(-1, o).sum(axis=0)))
 

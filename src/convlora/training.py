@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .backbone import frozen_view
 from .data import AugmentConfig, DatasetManifest, load_batch
 from .errors import CompatibilityError, TrainingDiverged
-from .lora import PeftModel, model_forward
+from .lora import PeftModel, model_forward, with_trainables
 from .metrics import MetricsReport
 from .tensor import Tensor
 
@@ -122,21 +121,6 @@ def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     return {n: t.data.copy() for n, t in params.items()}
 
 
-def _restore(model, snapshot: dict[str, np.ndarray]):
-    """The model at the snapshot's weights: its trainables take over the
-    snapshot arrays, and its frozen tensors are shared read-only."""
-    def leaf(name: str, t: Tensor) -> Tensor:
-        if name in snapshot:
-            return Tensor(snapshot[name], requires_grad=True)
-        return frozen_view(t)
-
-    if isinstance(model, PeftModel):
-        return replace(model, base=_restore(model.base, snapshot), adapters={
-            name: replace(ad, A=leaf(f"lora.{name}.A", ad.A), B=leaf(f"lora.{name}.B", ad.B))
-            for name, ad in model.adapters.items()})
-    return replace(model, params={n: leaf(n, t) for n, t in model.params.items()})
-
-
 def train(model, manifest: DatasetManifest, cfg: TrainConfig,
           augment: AugmentConfig, val_metric_fn=None):
     """Fit the model's trainable parameters; returns (best_model, history).
@@ -205,7 +189,7 @@ def train(model, manifest: DatasetManifest, cfg: TrainConfig,
             break
 
     history.best_epoch = best_epoch
-    return _restore(model, best_weights), history
+    return with_trainables(model, best_weights), history
 
 
 def predict(model, manifest: DatasetManifest, split_name: str,

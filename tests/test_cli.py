@@ -3,6 +3,7 @@ plus a few through ``python -m convlora`` in a subprocess."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_persist import _edit_header, _rename
 
 from convlora import images as I
 from convlora import cli, persist
@@ -68,6 +70,15 @@ class TestSynth:
         code = run(["synth", "--out", str(tmp_path / "x"), "--classes", "1"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_image_size_below_one_exits_2_with_one_line(self, tmp_path, capsys, size):
+        code = run(["synth", "--out", str(tmp_path / "x"), "--classes", "2",
+                    "--image-size", size])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not list(tmp_path.rglob("*.ppm"))
 
 
 class TestTrain:
@@ -341,6 +352,24 @@ class TestParams:
         assert run(["params", "--model.num_classes", "3", *TINY_MODEL,
                     "--lora.rank", "2"]) == 0
         assert capsys.readouterr().out == from_checkpoint
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("base", _rename("head.bias")),
+    ("adapter", _rename("head.bias")),
+    ("adapter", _rename("lora.stages.0.blocks.0.fc1.A")),
+    ("base", lambda header: header.pop("kind")),
+    ("adapter", lambda header: header.update(lora={"rank": 2})),
+])
+def test_inconsistent_checkpoint_header_exits_2_with_one_line(trained, tmp_path,
+                                                              capsys, kind, edit):
+    path = tmp_path / f"{kind}.ckpt"
+    shutil.copy(trained[kind], path)
+    _edit_header(path, edit)
+    capsys.readouterr()
+    assert run(["params", "--checkpoint", str(path), "--base", str(trained["base"])]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 # (command, extra flags); "config" runs params with the object as the config

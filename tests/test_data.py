@@ -309,6 +309,11 @@ class TestSynthDomain:
         with pytest.raises(ValueError):
             D.synth_domain(tmp_path / "bad", 1, 5)
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_image_size_validation(self, tmp_path, size):
+        with pytest.raises(ValueError, match="image_size"):
+            D.synth_domain(tmp_path / "bad", 2, 1, image_size=size)
+
     def test_same_law_similar_statistics(self, tmp_path):
         # two shift-0 domains with different seeds come from one generator law
         a = D.synth_domain(tmp_path / "a", 3, 30, image_size=16,

@@ -19,6 +19,7 @@ from convlora.lora import (
     merge,
     merged_model,
     peft_forward,
+    with_trainables,
 )
 from convlora.tensor import Tensor
 
@@ -362,3 +363,79 @@ class TestSharedBase:
         margin = 256 * 1024
         assert trainable + margin < base_bytes / 4
         assert peak < trainable + margin
+
+
+class TestFrozenBaseOffTheTape:
+    def test_lora_loss_tape_reaches_only_what_trains(self):
+        model = build_model(tiny_test_config(), seed=0)
+        peft = inject(model, r=2, alpha=4.0, dropout_p=0.1, seed=1)
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(2, 3, 32, 32)).astype(np.float32))
+        logits = peft_forward(peft, x, train_mode=True, rng=rng)
+        loss = T.softmax_cross_entropy(logits, np.array([0, 3]))
+        frozen = {id(t) for t in peft.base.params.values() if not t.requires_grad}
+        assert len(frozen) == len(model.params) - 2
+        seen, stack, leaves = set(), [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            assert len(node._parents) == len(node._vjps)
+            for parent in node._parents:
+                assert parent.requires_grad and id(parent) not in frozen
+                stack.append(parent)
+            if not node._parents:
+                leaves.add(id(node))
+        assert leaves == {id(t) for t in peft.trainable_params().values()}
+
+
+class TestWithTrainables:
+    """One builder for every partly frozen model: named arrays are taken over
+    as trainable leaves, every other tensor is a read-only view."""
+
+    def _check_frozen(self, t, src):
+        assert not t.requires_grad and t is not src
+        assert np.shares_memory(t.data, src.data) and np.array_equal(t.data, src.data)
+        with pytest.raises(ValueError):
+            t.data[...] = 0.0
+
+    def test_model(self):
+        model = build_model(tiny_test_config(), seed=0)
+        arrays = {"stem.conv.bias": np.ones(8, dtype=np.float32),
+                  "head.weight": np.zeros((9, 64), dtype=np.float32)}
+        config = ModelConfig(**{**model.config.to_dict(), "num_classes": 9})
+        out = with_trainables(model, arrays, config=config, class_names=list("abcdefghi"))
+        assert out.config.num_classes == 9 and out.class_names == list("abcdefghi")
+        assert model.config.num_classes == 4 and model.class_names is None
+        assert list(out.params) == list(model.params)
+        for name, t in out.params.items():
+            if name in arrays:
+                assert t.requires_grad and t.data is arrays[name]
+            else:
+                self._check_frozen(t, model.params[name])
+        assert all(t.requires_grad and t.data.flags.writeable
+                   for t in model.params.values())
+
+    @pytest.mark.parametrize("names", ["all", "head"])
+    def test_peft_model(self, names):
+        model = build_model(tiny_test_config(), seed=0)
+        peft = inject(model, r=2, alpha=4.0, dropout_p=0.1, seed=1)
+        arrays = {n: t.data.copy() for n, t in peft.trainable_params().items()
+                  if names == "all" or n.startswith("head.")}
+        out = with_trainables(peft, arrays)
+        sources = peft.trainable_params()
+        for name, t in out.trainable_params().items():
+            if name in arrays:
+                assert t.requires_grad and t.data is arrays[name]
+            else:
+                self._check_frozen(t, sources[name])
+        for name, t in out.base.params.items():
+            if not name.startswith("head."):
+                self._check_frozen(t, peft.base.params[name])
+        for name, ad in out.adapters.items():
+            src = peft.adapters[name]
+            assert (ad.rank, ad.alpha, ad.dropout_p, ad.target) == (
+                src.rank, src.alpha, src.dropout_p, src.target)
+        assert all(t.requires_grad and t.data.flags.writeable
+                   for t in sources.values())

@@ -205,3 +205,103 @@ class TestAdapterCheckpoint:
         persist.save(peft.base, tmp_path / "shared.ckpt")
         assert ((tmp_path / "source.ckpt").read_bytes()
                 == (tmp_path / "shared.ckpt").read_bytes())
+
+
+def _edit_header(path, edit):
+    """Rewrite a checkpoint's JSON header in place; the payload checksum does
+    not cover the header, so the file still passes it."""
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + n])
+    edit(header)
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[12 + n:])
+
+
+def _rename(name):
+    def edit(header):
+        entry = next(e for e in header["tensors"] if e["name"] == name)
+        entry["name"] = name + "_renamed"
+    return edit
+
+
+def _set(key, value):
+    def edit(header):
+        header[key] = value
+    return edit
+
+
+def _drop(key):
+    def edit(header):
+        del header[key]
+    return edit
+
+
+def _set_lora(key, value):
+    def edit(header):
+        header["lora"][key] = value
+    return edit
+
+
+@pytest.fixture
+def checkpoints(toy_model, tmp_path):
+    peft = inject(toy_model, r=2, alpha=4.0, dropout_p=0.1, seed=1)
+    paths = {"base": tmp_path / "base.ckpt", "adapter": tmp_path / "ad.ckpt"}
+    persist.save(toy_model, paths["base"])
+    persist.save(peft, paths["adapter"])
+    return paths
+
+
+class TestHeaderValidation:
+    """A header that passes the payload checksum but does not describe the
+    tensors its config implies ends in CheckpointError, never a KeyError."""
+
+    @pytest.mark.parametrize("kind, edit", [
+        ("base", _rename("head.bias")),
+        ("base", _rename("stages.2.blocks.0.fc1.weight")),
+        ("adapter", _rename("head.bias")),
+        ("adapter", _rename("lora.stages.0.blocks.0.fc1.A")),
+        ("adapter", _set_lora("targets", ["stages.0.blocks.0.fc1"])),
+        ("adapter", _set_lora("rank", 3)),
+    ])
+    def test_index_must_match_the_config(self, checkpoints, kind, edit):
+        _edit_header(checkpoints[kind], edit)
+        with pytest.raises(CheckpointError):
+            persist.load(checkpoints[kind])
+
+    def test_shape_must_match_the_config(self, checkpoints):
+        def edit(header):
+            header["tensors"][0]["shape"] = [2, 3, 4, 4]
+        _edit_header(checkpoints["base"], edit)
+        with pytest.raises(CheckpointError, match="shape"):
+            persist.load(checkpoints["base"])
+
+    @pytest.mark.parametrize("edit", [
+        _drop("kind"), _drop("model_config"), _drop("payload_nbytes"),
+        _drop("tensors"), _drop("payload_sha256"),
+        _set("kind", 1), _set("kind", "delta"), _set("model_config", [1]),
+        _set("model_config", {"dims": [8, 16, 32, 64]}), _set("tensors", {}),
+        _set("tensors", [1]), _set("payload_nbytes", "800"),
+        _set("payload_sha256", None), _set("class_names", "abcd"),
+        _set("class_names", [1, 2, 3, 4]),
+    ])
+    def test_missing_or_ill_typed_header_key(self, checkpoints, edit):
+        _edit_header(checkpoints["base"], edit)
+        with pytest.raises(CheckpointError):
+            persist.load(checkpoints["base"])
+
+    @pytest.mark.parametrize("edit", [
+        _set("lora", "r2"), _set_lora("rank", "2"), _set_lora("rank", True),
+        _set_lora("rank", 0), _set_lora("alpha", None), _set_lora("dropout_p", 1.0),
+        _set_lora("targets", "fc1"), _set_lora("targets", [7]),
+    ])
+    def test_ill_typed_adapter_settings(self, checkpoints, edit):
+        _edit_header(checkpoints["adapter"], edit)
+        with pytest.raises(CheckpointError):
+            persist.load(checkpoints["adapter"])
+
+    def test_header_edits_that_keep_it_consistent_still_load(self, checkpoints, toy_model):
+        _edit_header(checkpoints["base"], _set("created_by", "someone else"))
+        loaded = persist.load(checkpoints["base"])
+        for name, t in toy_model.params.items():
+            assert np.array_equal(loaded.params[name].data, t.data), name

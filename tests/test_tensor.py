@@ -508,6 +508,59 @@ class TestTape:
 # gradient checks (central differences, float64)
 # ---------------------------------------------------------------------------
 
+# (op, input shape, kernel shape, bias length, keyword arguments) for every
+# primitive that takes a kernel and an optional bias
+WEIGHTED_OPS = [
+    pytest.param(T.linear, (2, 3, 5), (4, 5), 4, {}, id="linear"),
+    pytest.param(T.conv2d, (2, 3, 6, 6), (4, 3, 3, 3), 4, {"pad": 1}, id="conv2d"),
+    pytest.param(T.depthwise_conv2d, (2, 3, 6, 6), (3, 1, 3, 3), 3, {"pad": 1},
+                 id="depthwise_conv2d"),
+    pytest.param(T.depthwise_conv2d_nhwc, (2, 6, 6, 3), (3, 1, 3, 3), 3, {"pad": 1},
+                 id="depthwise_conv2d_nhwc"),
+    pytest.param(T.patch_conv2d_nhwc, (2, 4, 4, 3), (5, 3, 2, 2), 5, {},
+                 id="patch_conv2d_nhwc"),
+]
+
+
+class TestFrozenOperands:
+    """Frozen and absent operands keep no edge on the tape."""
+
+    @pytest.mark.parametrize("op, xs, ks, nb, kw", WEIGHTED_OPS)
+    def test_edges_are_the_operands_that_require_grad(self, op, xs, ks, nb, kw):
+        rng = np.random.default_rng(0)
+        arrays = (rng.normal(size=xs), rng.normal(size=ks), rng.normal(size=nb))
+        for flags in [(fx, fk, fb) for fx in (False, True) for fk in (False, True)
+                      for fb in (False, True, None)]:
+            x, k, b = (None if f is None else t64(a, requires_grad=f)
+                       for a, f in zip(arrays, flags))
+            y = op(x, k, b, **kw)
+            want = tuple(t for t in (x, k, b) if t is not None and t.requires_grad)
+            assert y._parents == want, flags
+            assert len(y._vjps) == len(want) and y.requires_grad == bool(want)
+
+    @pytest.mark.parametrize("op, xs, ks, nb, kw", WEIGHTED_OPS)
+    def test_frozen_kernel_and_bias_record_one_edge(self, op, xs, ks, nb, kw):
+        rng = np.random.default_rng(1)
+        xd, kd, bd = rng.normal(size=xs), rng.normal(size=ks), rng.normal(size=nb)
+        x = t64(xd)
+        y = op(x, t64(kd, False), t64(bd, False), **kw)
+        assert y._parents == (x,) and len(y._vjps) == 1
+        g = rng.normal(size=y.shape)
+        y.backward(g)
+        ref = t64(xd)
+        op(ref, t64(kd), t64(bd), **kw).backward(g)
+        assert np.array_equal(x.grad, ref.grad)
+
+    def test_frozen_ness_is_read_when_the_op_is_recorded(self):
+        x = t64([[1.0, 2.0]])
+        w = t64(np.eye(2), requires_grad=False)
+        out = T.tsum(T.linear(x, w))
+        w.requires_grad = True
+        out.backward()
+        assert w.grad is None
+        np.testing.assert_allclose(x.grad, [[1.0, 1.0]])
+
+
 class TestGradCheck:
     def test_linear_tight(self):
         for seed in range(20):
