@@ -8,12 +8,15 @@ normalization, and a projection linear (fc2), with the result added back
 onto the block input. Classification happens via global average pooling,
 a final LayerNorm on the pooled features, and a linear head.
 
-Layout: images, block inputs and block outputs are NCHW. Every layer
-between them runs channel-last ([N, H, W, C]): the stem, each downsample
-and each block branch transpose in, compute, and transpose back. In that
-layout the depthwise convolution is one shifted multiply-accumulate per
-kernel tap, and the stem and downsample convolutions (stride equal to
-kernel size) are one GEMM each (``tensor.depthwise_conv2d_nhwc``,
+Layout: images are NCHW at the API (``forward``'s input, ``saliency``'s
+image). The network is channel-last ([N, H, W, C]) from the stem to the
+pool: ``forward`` transposes the image once before the stem, every
+downsample and block takes and returns channel-last maps, and the last
+block's output is transposed back once for ``tensor.global_avg_pool``,
+which keeps the pooled sums in the NCHW order. In that layout the
+depthwise convolution is one shifted multiply-accumulate per kernel tap,
+and the stem and downsample convolutions (stride equal to kernel size)
+are one GEMM each (``tensor.depthwise_conv2d_nhwc``,
 ``tensor.patch_conv2d_nhwc``). Kernels keep the OIHW layout, so
 checkpoints do not depend on it.
 
@@ -207,18 +210,15 @@ def block_forward(params: dict[str, Tensor], prefix: str, x: Tensor,
                   linear_op: LinearOp) -> Tensor:
     """One residual block: x + fc2(grn(gelu(fc1(norm(dwconv(x)))))).
 
-    Takes and returns NCHW maps; the branch runs channel-last from the
-    depthwise convolution on."""
+    Takes and returns channel-last [N, H, W, C] maps."""
     p = params
-    h = T.transpose(x, (0, 2, 3, 1))
-    h = T.depthwise_conv2d_nhwc(h, p[prefix + "dwconv.weight"],
+    h = T.depthwise_conv2d_nhwc(x, p[prefix + "dwconv.weight"],
                                 p[prefix + "dwconv.bias"], pad=3)
     h = T.layer_norm(h, p[prefix + "norm.gamma"], p[prefix + "norm.beta"], eps=LN_EPS)
     h = linear_op(prefix + "fc1", h, p[prefix + "fc1.weight"], p[prefix + "fc1.bias"])
     h = T.gelu(h)
     h = T.grn(h, p[prefix + "grn.gamma"], p[prefix + "grn.beta"], eps=LN_EPS)
     h = linear_op(prefix + "fc2", h, p[prefix + "fc2.weight"], p[prefix + "fc2.bias"])
-    h = T.transpose(h, (0, 3, 1, 2))
     return T.add(x, h)
 
 
@@ -245,17 +245,14 @@ def forward(model: Model, x: Tensor, linear_op: LinearOp | None = None) -> Tenso
     h = T.transpose(x, (0, 2, 3, 1))
     h = T.patch_conv2d_nhwc(h, p["stem.conv.weight"], p["stem.conv.bias"])
     h = T.layer_norm(h, p["stem.norm.gamma"], p["stem.norm.beta"], eps=LN_EPS)
-    h = T.transpose(h, (0, 3, 1, 2))
     for s in range(4):
         if s > 0:
             pre = f"downsample.{s - 1}."
-            h = T.transpose(h, (0, 2, 3, 1))
             h = T.layer_norm(h, p[pre + "norm.gamma"], p[pre + "norm.beta"], eps=LN_EPS)
             h = T.patch_conv2d_nhwc(h, p[pre + "conv.weight"], p[pre + "conv.bias"])
-            h = T.transpose(h, (0, 3, 1, 2))
         for b in range(cfg.depths[s]):
             h = block_forward(p, f"stages.{s}.blocks.{b}.", h, lin)
-    h = T.global_avg_pool(h)
+    h = T.global_avg_pool(T.transpose(h, (0, 3, 1, 2)))
     h = T.layer_norm(h, p["final_norm.gamma"], p["final_norm.beta"], eps=LN_EPS)
     return T.linear(h, p["head.weight"], p["head.bias"])
 

@@ -309,6 +309,11 @@ def cmd_eval(args) -> int:
     model = _load_models_for_eval([args.checkpoint], args.base)[0]
     manifest = _split_dataset(args.data, [args.split], seed=args.split_seed,
                               by_group=args.by_group)
+    # the report indexes predictions and labels by one vocabulary
+    training.class_mapping(model.class_names, manifest.class_names)
+    if model.class_names != manifest.class_names:
+        raise CompatibilityError(f"model classes {model.class_names} differ from "
+                                 f"dataset classes {manifest.class_names}")
     report = evaluate(model, manifest, args.split)
     print(report.format_table())
     if args.out:
@@ -359,6 +364,9 @@ def cmd_saliency(args) -> int:
     if class_idx is None:
         logits = model_forward(model, Tensor(x[None])).data
         class_idx = int(logits.argmax())
+    elif not 0 <= class_idx < model.config.num_classes:
+        raise ConfigError(f"--class-idx {class_idx} is out of range for "
+                          f"{model.config.num_classes} classes")
     m = saliency(lambda t: model_forward(model, t), x, class_idx)
     if m.shape != raw.shape[:2]:
         # map back to the source image's resolution

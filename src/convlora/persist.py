@@ -169,7 +169,9 @@ def _expected_shapes(path, header: dict, config: ModelConfig) -> dict[str, tuple
 def _read_header(path, header_bytes: bytes) -> tuple[dict, ModelConfig, dict]:
     """The header, its model config and its tensor index (name -> (shape,
     byte offset)). The index must name exactly the tensors the config and
-    adapter settings imply, at their shapes; every failure raises
+    adapter settings imply, at their shapes, laid out as ``save`` writes
+    them: each offset the sum of the sizes before it in index order, and
+    the last tensor ending at ``payload_nbytes``. Every failure raises
     CheckpointError."""
     try:
         header = json.loads(header_bytes.decode("utf-8"))
@@ -210,6 +212,15 @@ def _read_header(path, header_bytes: bytes) -> tuple[dict, ModelConfig, dict]:
         if got != want:
             raise CheckpointError(f"{path}: tensor {name!r}: the index has "
                                   f"{got}, the config implies {want}")
+    end = 0
+    for name, (shape, offset) in index.items():
+        if not _typed(offset, int) or offset != end:
+            raise CheckpointError(f"{path}: tensor {name!r} is at byte offset "
+                                  f"{offset!r}, the layout puts it at {end}")
+        end += 4 * math.prod(shape)
+    if header["payload_nbytes"] != end:
+        raise CheckpointError(f"{path}: payload_nbytes is {header['payload_nbytes']}, "
+                              f"the tensors take {end}")
     return header, config, index
 
 
@@ -217,11 +228,11 @@ def load(path: str | Path):
     """Read a checkpoint; returns a Model or an AdapterCheckpoint.
 
     Verifies the magic, the header's fields and types, a tensor index that
-    names exactly the tensors the config implies at their shapes, the
-    payload length and the checksum; corruption anywhere raises
-    CheckpointError. The payload is read once into a single float32 array
-    and every tensor is a view into it, so a load holds one copy of the
-    file's tensors.
+    names exactly the tensors the config implies at their shapes and in
+    ``save``'s contiguous layout, the payload length and the checksum;
+    corruption anywhere raises CheckpointError. The payload is read once
+    into a single float32 array and every tensor is a view into it, so a
+    load holds one copy of the file's tensors.
     """
     with open(path, "rb") as f:
         prefix = f.read(len(MAGIC) + 4)
@@ -234,8 +245,6 @@ def load(path: str | Path):
         header, config, index = _read_header(path, header_bytes)
 
         nbytes = header["payload_nbytes"]
-        if nbytes < 0 or nbytes % 4:
-            raise CheckpointError(f"{path}: payload size {nbytes!r} is not float32")
         on_disk = os.fstat(f.fileno()).st_size - f.tell()
         if on_disk > nbytes:
             raise CheckpointError(f"{path}: {on_disk - nbytes} trailing bytes "
@@ -250,15 +259,8 @@ def load(path: str | Path):
 
     tensors: dict[str, np.ndarray] = {}
     for name, (shape, offset) in index.items():
-        size = math.prod(shape)
-        # views must start on a float32 boundary of the aligned payload array
-        if (not _typed(offset, int) or offset % 4 or offset < 0
-                or offset // 4 + size > payload.size):
-            raise CheckpointError(
-                f"{path}: tensor {name!r} at byte offset {offset} "
-                f"does not fit the float32 payload")
         start = offset // 4
-        tensors[name] = payload[start:start + size].reshape(shape)
+        tensors[name] = payload[start:start + math.prod(shape)].reshape(shape)
 
     class_names = header["class_names"]
     if header["kind"] == "base":

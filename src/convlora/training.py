@@ -230,8 +230,6 @@ def evaluate(model, manifest: DatasetManifest, split_name: str = "test",
              augment: AugmentConfig | None = None,
              batch_size: int = 32) -> MetricsReport:
     """Eval-mode forward over a split, reduced to a full metrics report."""
-    if augment is None:
-        augment = AugmentConfig(resize=model.config.image_size)
     report, _ = _evaluate_with_loss(model, manifest, split_name, augment, batch_size)
     return report
 

@@ -108,7 +108,7 @@ def test_criterion_01_gradient_correctness():
             "fc2.weight": _t64(rng, c, 4 * c),
             "fc2.bias": _t64(rng, c),
         }
-        x = _t64(rng, 1, c, 4, 4)
+        x = _t64(rng, 1, 4, 4, c)
 
         def block_f(*ts):
             return T.tsum(block_forward(params, "", ts[0],

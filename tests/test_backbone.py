@@ -117,7 +117,7 @@ class TestForward:
         model.params[pre + "fc2.weight"].data[:] = 0.0
         model.params[pre + "fc2.bias"].data[:] = 0.0
         rng = np.random.default_rng(8)
-        x = T.Tensor(rng.normal(size=(1, 16, 8, 8)).astype(np.float32))
+        x = T.Tensor(rng.normal(size=(1, 8, 8, 16)).astype(np.float32))
         out = block_forward(model.params, pre, x, lambda n, a, w, b: T.linear(a, w, b))
         assert np.array_equal(out.data, x.data)
 
@@ -173,6 +173,26 @@ class TestChannelLastLayout:
             ref = _nchw_reference_forward(model, x).data
         np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-5)
 
+    def test_forward_transposes_once_in_and_once_out(self, monkeypatch):
+        calls = []
+
+        def counting(x, axes):
+            calls.append(axes)
+            return transpose(x, axes)
+
+        transpose = T.transpose
+        monkeypatch.setattr(T, "transpose", counting)
+        forward(build_model(tiny_test_config(), seed=0),
+                T.Tensor(np.zeros((2, 3, 32, 32), dtype=np.float32)))
+        assert calls == [(0, 2, 3, 1), (0, 3, 1, 2)]
+
+    def test_block_rejects_an_nchw_map(self):
+        model = build_model(tiny_test_config(), seed=0)
+        x = T.Tensor(np.zeros((1, 16, 8, 8), dtype=np.float32))    # stage 1: C = 16
+        with pytest.raises(T.ShapeError, match="8 channels"):
+            block_forward(model.params, "stages.1.blocks.0.", x,
+                          lambda n, a, w, b: T.linear(a, w, b))
+
 
 def _block_params(rng, c, mlp=4):
     p = {
@@ -195,7 +215,7 @@ class TestGradients:
     def test_full_block_gradcheck(self, seed):
         rng = np.random.default_rng(seed)
         params = _block_params(rng, c=8)
-        x = T.Tensor(rng.normal(size=(1, 8, 4, 4)), requires_grad=True)
+        x = T.Tensor(rng.normal(size=(1, 4, 4, 8)), requires_grad=True)
         tensors = [x] + list(params.values())
 
         def f(*ts):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_persist import _edit_header, _rename
+from test_persist import LAYOUT_BREAKS, _edit_header, _rename
 
 from convlora import images as I
 from convlora import cli, persist
@@ -182,6 +182,28 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'test'" in err
         assert len(err.strip().splitlines()) == 1
+
+    # cross-eval matches classes by name, so only eval needs the vocabularies equal
+    @pytest.mark.parametrize("command, vocabulary", [
+        ("eval", "renamed-class"), ("cross-eval", "renamed-class"),
+        ("eval", "extra-class"),
+    ])
+    def test_other_class_vocabulary_exits_4(self, dataset, trained, tmp_path,
+                                            capsys, command, vocabulary):
+        other = tmp_path / "other"
+        if vocabulary == "renamed-class":
+            shutil.copytree(dataset, other)
+            first = min(other.iterdir())
+            first.rename(first.with_name(first.name + "_renamed"))
+        else:
+            assert run(["synth", "--out", str(other), "--classes", "4",
+                        "--per-class", "12", "--seed", "5"]) == 0
+        capsys.readouterr()
+        code = run([command, "--checkpoint", str(trained["base"]),
+                    "--data", str(other)])
+        assert code == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("compatibility error: "), err
 
 
 class TestCrossEval:
@@ -372,9 +394,21 @@ def test_inconsistent_checkpoint_header_exits_2_with_one_line(trained, tmp_path,
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+@pytest.mark.parametrize("breaks", LAYOUT_BREAKS)
+def test_checkpoint_off_the_layout_exits_2_with_one_line(trained, tmp_path,
+                                                        capsys, breaks):
+    path = tmp_path / "base.ckpt"
+    shutil.copy(trained["base"], path)
+    breaks(path)
+    capsys.readouterr()
+    assert run(["params", "--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 # (command, extra flags); "config" runs params with the object as the config
-# file, and train runs also get _toy_train_args, so each fails on the one
-# setting named here
+# file, train runs also get _toy_train_args and saliency runs the trained
+# 3-class base on one dataset image, so each fails on the one setting named here
 MALFORMED = [
     pytest.param("params", ["--model.num_classes", "abc"], id="num_classes-text"),
     pytest.param("params", ["--model.num_classes", "0"], id="num_classes-zero"),
@@ -423,18 +457,24 @@ MALFORMED = [
                  id="ratios-inf"),
     pytest.param("train", ["--lora.rank", "2", "--data.ratios", "0.9,0.1,0"],
                  id="no-test-split"),
+    pytest.param("saliency", ["--class-idx", "7"], id="class-idx-above"),
+    pytest.param("saliency", ["--class-idx", "-1"], id="class-idx-negative"),
 ]
 
 
 @pytest.mark.parametrize("command, extra", MALFORMED)
 def test_malformed_invocation_exits_2_with_one_line(command, extra, dataset,
-                                                    tmp_path, capsys):
+                                                    tmp_path, capsys, request):
     if command == "config":
         config = tmp_path / "config.json"
         config.write_text(json.dumps(extra))
         argv = ["params", "--config", str(config)]
     elif command == "train":
         argv = _toy_train_args(dataset, tmp_path / "run", extra)
+    elif command == "saliency":
+        argv = ["saliency", "--checkpoint", str(request.getfixturevalue("trained")["base"]),
+                "--image", str(min(dataset.rglob("*.ppm"))),
+                "--out", str(tmp_path / "map.pgm"), *extra]
     else:
         argv = [command, *extra]
     capsys.readouterr()

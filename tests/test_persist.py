@@ -1,5 +1,6 @@
 """Checkpoint round-trip, determinism, and corruption-detection tests."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -218,6 +219,42 @@ def _edit_header(path, edit):
     path.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[12 + n:])
 
 
+def _pad_payload(path, before):
+    """Insert four zero bytes into the payload before tensor ``before`` (at
+    the end for None), and shift the later offsets, ``payload_nbytes`` and
+    the checksum to match: the file then differs from ``save``'s layout only
+    by unused bytes."""
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[8:12], "little")
+    header, payload = json.loads(blob[12:12 + n]), blob[12 + n:]
+    entries = header["tensors"]
+    i = next((i for i, e in enumerate(entries) if e["name"] == before), len(entries))
+    at = entries[i]["offset"] if i < len(entries) else len(payload)
+    for e in entries[i:]:
+        e["offset"] += 4
+    payload = payload[:at] + bytes(4) + payload[at:]
+    header["payload_nbytes"] = len(payload)
+    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw + payload)
+
+
+def _overlap_head_bias(path):
+    def edit(header):
+        entries = {e["name"]: e for e in header["tensors"]}
+        entries["head.bias"]["offset"] = entries["head.weight"]["offset"]
+    _edit_header(path, edit)
+
+
+# checkpoints whose header passes every other check and whose payload
+# passes the checksum, but whose tensors do not follow save's layout
+LAYOUT_BREAKS = [
+    pytest.param(_overlap_head_bias, id="overlap"),
+    pytest.param(lambda path: _pad_payload(path, "head.bias"), id="gap"),
+    pytest.param(lambda path: _pad_payload(path, None), id="payload-longer"),
+]
+
+
 def _rename(name):
     def edit(header):
         entry = next(e for e in header["tensors"] if e["name"] == name)
@@ -305,3 +342,10 @@ class TestHeaderValidation:
         loaded = persist.load(checkpoints["base"])
         for name, t in toy_model.params.items():
             assert np.array_equal(loaded.params[name].data, t.data), name
+
+    @pytest.mark.parametrize("kind", ["base", "adapter"])
+    @pytest.mark.parametrize("breaks", LAYOUT_BREAKS)
+    def test_tensors_must_follow_the_layout(self, checkpoints, kind, breaks):
+        breaks(checkpoints[kind])
+        with pytest.raises(CheckpointError, match="offset|payload_nbytes"):
+            persist.load(checkpoints[kind])

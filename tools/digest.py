@@ -1,0 +1,99 @@
+"""SHA-256 digests of seeded training runs, checkpoints and gradients.
+
+    PYTHONPATH=src python tools/digest.py
+
+Run it on two checkouts to show that a change keeps results byte-identical
+under the same seeds: every printed digest must match. It runs with one
+BLAS thread and takes under a minute on two CPUs. It prints one line per
+digest:
+
+- ``full``: history and checkpoint of a 3-epoch full run of the tiny
+  config, with flips and rotations;
+- ``lora``: history and adapter checkpoint of a 3-epoch LoRA r=4 run of
+  that model on a shifted domain;
+- ``merged``: the checkpoint of the re-attached adapter merged into its base;
+- ``grads32``, ``grads96``: every trainable gradient of one base-config
+  LoRA r=16 train step (fc1/fc2, dropout 0.1) at 32 px, batch 4, and at
+  96 px, batch 2.
+
+Digests depend on the numpy/BLAS build (README, Numerics), so they compare
+checkouts on one machine; they are not fixed constants.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from convlora import backbone, data, lora, persist, tensor as T, training
+from convlora.data import AugmentConfig
+from convlora.training import TrainConfig
+
+CLASSES = 6
+PER_CLASS = 40
+AUGMENT = AugmentConfig(hflip_prob=0.5, rotation_max_deg=15.0, resize=32)
+TRAIN = TrainConfig(lr=2e-3, max_epochs=3, batch_size=32, patience=3, seed=0)
+
+
+def _sha(*blobs: bytes) -> str:
+    h = hashlib.sha256()
+    for blob in blobs:
+        h.update(blob)
+    return h.hexdigest()
+
+
+def _run_digest(model, manifest, ckpt: Path) -> str:
+    best, history = training.train(model, manifest, TRAIN, AUGMENT)
+    history.to_csv(ckpt.with_suffix(".csv"))
+    persist.save(best, ckpt)
+    return _sha(ckpt.with_suffix(".csv").read_bytes(), ckpt.read_bytes())
+
+
+def _grads_digest(size: int, batch: int) -> str:
+    model = backbone.build_model(backbone.base_config(CLASSES, image_size=size), seed=0)
+    peft = lora.inject(model, targets=("fc1", "fc2"), r=16, alpha=32.0,
+                       dropout_p=0.1, seed=0)
+    rng = np.random.default_rng(size)
+    x = T.Tensor(rng.normal(size=(batch, 3, size, size)).astype(np.float32))
+    labels = rng.integers(0, CLASSES, size=batch)
+    logits = lora.model_forward(peft, x, train_mode=True,
+                                rng=np.random.default_rng(1))
+    T.softmax_cross_entropy(logits, labels).backward()
+    params = training.trainable_params(peft)
+    return _sha(*(name.encode() + params[name].grad.tobytes()
+                  for name in sorted(params)))
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        domains = [data.split(data.synth_domain(tmp / name, CLASSES, PER_CLASS,
+                                                palette_shift=shift,
+                                                texture_shift=shift, seed=0))
+                   for name, shift in (("A", 0.0), ("B", 0.8))]
+
+        model = backbone.build_model(backbone.tiny_test_config(CLASSES), seed=0)
+        print("full   ", _run_digest(model, domains[0], tmp / "full.ckpt"))
+
+        base = persist.load(tmp / "full.ckpt")
+        peft = lora.inject(base, r=4, alpha=8.0, seed=1)
+        print("lora   ", _run_digest(peft, domains[1], tmp / "adapter.ckpt"))
+
+        adapter = persist.load(tmp / "adapter.ckpt")
+        persist.save(lora.merged_model(adapter.attach(base)), tmp / "merged.ckpt")
+        print("merged ", _sha((tmp / "merged.ckpt").read_bytes()))
+
+    print("grads32", _grads_digest(32, 4))
+    print("grads96", _grads_digest(96, 2))
+
+
+if __name__ == "__main__":
+    main()
