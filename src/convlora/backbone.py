@@ -257,14 +257,20 @@ def forward(model: Model, x: Tensor, linear_op: LinearOp | None = None) -> Tenso
     return T.linear(h, p["head.weight"], p["head.bias"])
 
 
-def saliency(model, image: np.ndarray, class_idx: int) -> np.ndarray:
+def saliency(model, image: np.ndarray, class_idx: int | None = None) -> np.ndarray:
     """Input-gradient saliency map for one class logit.
 
     ``model`` is either a Model or any callable mapping a [1, C, H, W]
     Tensor to logits. Returns |d logit / d pixel|, reduced by max over
     channels and min-max normalized into [0, 1]; identically-zero gradients
-    give an all-zero map.
+    give an all-zero map. Without ``class_idx`` the top logit is explained.
     """
+    return saliency_with_class(model, image, class_idx)[0]
+
+
+def saliency_with_class(model, image: np.ndarray,
+                        class_idx: int | None = None) -> tuple[np.ndarray, int]:
+    """``saliency`` plus the class it explains, from one forward pass."""
     if isinstance(model, Model):
         fn = lambda t: forward(model, t)
     else:
@@ -275,6 +281,8 @@ def saliency(model, image: np.ndarray, class_idx: int) -> np.ndarray:
     x = Tensor(image[None].astype(np.float32, copy=True), requires_grad=True)
     logits = fn(x)
     k = logits.shape[-1]
+    if class_idx is None:
+        class_idx = int(logits.data.argmax())
     if not 0 <= class_idx < k:
         raise ValueError(f"saliency: class {class_idx} out of range for {k} classes")
     seed = np.zeros(logits.shape, dtype=logits.dtype)
@@ -283,7 +291,7 @@ def saliency(model, image: np.ndarray, class_idx: int) -> np.ndarray:
     g = np.abs(x.grad[0]).max(axis=0)
     lo, hi = float(g.min()), float(g.max())
     if hi == 0.0:
-        return np.zeros_like(g)
+        return np.zeros_like(g), class_idx
     if hi == lo:
-        return np.ones_like(g)
-    return (g - lo) / (hi - lo)
+        return np.ones_like(g), class_idx
+    return (g - lo) / (hi - lo), class_idx

@@ -25,13 +25,13 @@ import numpy as np
 from . import data as data_mod
 from . import images, persist, training
 from .backbone import (Model, ModelConfig, base_config, build_model,
-                       param_shapes, saliency)
+                       param_shapes, saliency_with_class)
 from .data import AugmentConfig, DatasetManifest
 from .errors import CompatibilityError, ConfigError, TrainingDiverged
 from .lora import (DEFAULT_TARGETS, adapted_layers, adapter_param_count,
                    count_params, inject, merged_model, model_forward)
 from .metrics import MetricsReport
-from .tensor import NumericsError, Tensor
+from .tensor import NumericsError
 from .training import TrainConfig, cross_eval, evaluate, predict, train
 
 
@@ -360,14 +360,11 @@ def cmd_saliency(args) -> int:
     std = np.asarray(augment.normalize_std, dtype=np.float32)
     x = images.normalize(img, mean, std).transpose(2, 0, 1)
 
-    class_idx = args.class_idx
-    if class_idx is None:
-        logits = model_forward(model, Tensor(x[None])).data
-        class_idx = int(logits.argmax())
-    elif not 0 <= class_idx < model.config.num_classes:
-        raise ConfigError(f"--class-idx {class_idx} is out of range for "
+    if args.class_idx is not None and not 0 <= args.class_idx < model.config.num_classes:
+        raise ConfigError(f"--class-idx {args.class_idx} is out of range for "
                           f"{model.config.num_classes} classes")
-    m = saliency(lambda t: model_forward(model, t), x, class_idx)
+    m, class_idx = saliency_with_class(lambda t: model_forward(model, t), x,
+                                       args.class_idx)
     if m.shape != raw.shape[:2]:
         # map back to the source image's resolution
         m = np.clip(images.resize_bilinear(m[..., None], raw.shape[0],

@@ -10,6 +10,7 @@ shift between domains for desk-scale cross-domain experiments.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -93,8 +94,10 @@ def scan_dataset(root: str | Path) -> DatasetManifest:
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset root {root} does not exist")
-    class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
-    if not class_dirs:
+    # names sort as strings: the order Path sorting gives siblings on POSIX
+    with os.scandir(root) as entries:
+        class_names = sorted(e.name for e in entries if e.is_dir())
+    if not class_names:
         raise ValueError(f"dataset root {root} contains no class directories")
 
     groups: dict[str, str] = {}
@@ -109,17 +112,19 @@ def scan_dataset(root: str | Path) -> DatasetManifest:
                 raise ValueError(f"groups.tsv line without a group key: {line!r}")
             groups[rel] = key
 
-    class_names = [d.name for d in class_dirs]
     samples: list[Sample] = []
-    for class_id, d in enumerate(class_dirs):
-        files = sorted(p for p in d.iterdir() if p.is_file())
-        for p in files:
-            if p.suffix.lower() not in (".ppm", ".png"):
+    for class_id, name in enumerate(class_names):
+        class_dir = str(root / name)
+        with os.scandir(class_dir) as entries:
+            files = sorted(e.name for e in entries if e.is_file())
+        for file in files:
+            path = f"{class_dir}/{file}"
+            stem, _, suffix = file.rpartition(".")
+            if not stem or suffix.lower() not in ("ppm", "png"):
                 raise images.ImageFormatError(
-                    f"unsupported file in dataset tree: {p}")
-            rel = f"{d.name}/{p.name}"
-            samples.append(Sample(path=str(p), class_id=class_id,
-                                  group_key=groups.get(rel)))
+                    f"unsupported file in dataset tree: {path}")
+            samples.append(Sample(path=path, class_id=class_id,
+                                  group_key=groups.get(f"{name}/{file}")))
     if not samples:
         raise ValueError(f"dataset root {root} contains no images")
     return DatasetManifest(samples=samples, class_names=class_names, root=str(root))
@@ -208,15 +213,28 @@ def load_batch(manifest: DatasetManifest, split_name: str, indices,
                epoch: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Decode, resize, augment (train mode only) and normalize a batch.
 
-    Augmentation randomness depends only on (seed, epoch, sample index), so
-    the pixels delivered for a sample are independent of batch composition
-    or loading order.
+    Each sample is decoded, resized and given its random draws in turn; the
+    flips, the rotation and the normalization then run once over the whole
+    batch. Augmentation randomness depends only on (seed, epoch, sample
+    index), so the pixels delivered for a sample are independent of batch
+    composition or loading order.
+
+    Precision follows the single-image transforms: a resize yields float64,
+    a rotation casts to float32 and yields float64, and normalization runs
+    in its input's precision. So rotated rows, and resized rows when
+    rotation is off, normalize in float64; the rest, including resized rows
+    whose drawn angle is exactly 0, normalize in float32.
     """
     augment.validate()
     mean = np.asarray(augment.normalize_mean, dtype=np.float32)
     std = np.asarray(augment.normalize_std, dtype=np.float32)
-    xs = np.empty((len(indices), 3, augment.resize, augment.resize), dtype=np.float32)
-    ys = np.empty(len(indices), dtype=np.int64)
+    n, size = len(indices), augment.resize
+    rotating = train_mode and augment.rotation_max_deg > 0
+    pixels = np.zeros((n, size, size, 3), dtype=np.float32)
+    wide = np.zeros(n, dtype=bool)
+    flips = np.zeros(n, dtype=bool)
+    angles = np.zeros(n)
+    ys = np.empty(n, dtype=np.int64)
     for row, i in enumerate(indices):
         sample = manifest.samples[int(i)]
         if sample.split != split_name:
@@ -226,18 +244,38 @@ def load_batch(manifest: DatasetManifest, split_name: str, indices,
             img = images.read_image(sample.path).astype(np.float32)
         except (OSError, images.ImageFormatError) as e:
             raise images.ImageFormatError(f"failed to decode {sample.path}: {e}") from e
-        img = images.resize_bilinear(img, augment.resize, augment.resize)
+        img = images.resize_bilinear(img, size, size)
+        # rotate_bilinear casts to float32 anyway; without rotation a
+        # resized row keeps its float64 values
+        wide[row] = img.dtype == np.float64 and not rotating
+        if wide[row] and pixels.dtype == np.float32:
+            pixels = pixels.astype(np.float64)
+        pixels[row] = img
         if train_mode:
             rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, int(i)]))
-            if augment.hflip_prob > 0 and rng.random() < augment.hflip_prob:
-                img = images.hflip(img)
-            if augment.rotation_max_deg > 0:
-                angle = rng.uniform(-augment.rotation_max_deg, augment.rotation_max_deg)
-                img = images.rotate_bilinear(img, angle)
-        img = images.normalize(img, mean, std)
-        xs[row] = img.transpose(2, 0, 1)
+            if augment.hflip_prob > 0:
+                flips[row] = rng.random() < augment.hflip_prob
+            if rotating:
+                angles[row] = rng.uniform(-augment.rotation_max_deg,
+                                          augment.rotation_max_deg)
         ys[row] = sample.class_id
+
+    pixels[flips] = pixels[flips, :, ::-1]
+    turned = angles != 0.0
+    xs = np.empty((n, 3, size, size), dtype=np.float32)
+    if turned.any():
+        rotated = images.rotate_bilinear(_rows(pixels, turned), angles[turned])
+        xs[turned] = images.normalize(rotated, mean, std).transpose(0, 3, 1, 2)
+    for rows, dtype in ((wide, np.float64), (~(turned | wide), np.float32)):
+        if rows.any():
+            img = _rows(pixels, rows).astype(dtype, copy=False)
+            xs[rows] = images.normalize(img, mean, std).transpose(0, 3, 1, 2)
     return xs, ys
+
+
+def _rows(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``a[mask]``, without the copy when the mask selects every row."""
+    return a if mask.all() else a[mask]
 
 
 # ---------------------------------------------------------------------------

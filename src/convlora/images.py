@@ -4,7 +4,8 @@ Binary PPM (P6, 8-bit) is the native image format so the pipeline decodes
 without third-party libraries; PNG loading is available when Pillow happens
 to be installed. Saliency maps are written as binary PGM (P5).
 
-Transforms operate on float arrays in [H, W, C] layout, values 0..255.
+Transforms operate on float arrays in [H, W, C] layout, values 0..255;
+``rotate_bilinear`` also takes an [N, H, W, C] batch.
 """
 
 from __future__ import annotations
@@ -142,45 +143,102 @@ def hflip(img: np.ndarray) -> np.ndarray:
     return img[:, ::-1].copy()
 
 
-def _reflect_index(idx: np.ndarray, n: int) -> np.ndarray:
-    # symmetric reflection without edge repetition, period 2n - 2
-    if n == 1:
-        return np.zeros_like(idx)
-    period = 2 * n - 2
-    idx = np.mod(idx, period)
-    return np.where(idx >= n, period - idx, idx)
+# output pixels per rotation pass over a slice of the batch: bounds the
+# float64 temporaries to a few MB whatever the batch and image size
+_ROTATE_CHUNK_PIXELS = 1 << 16
 
 
-def rotate_bilinear(img: np.ndarray, degrees: float) -> np.ndarray:
-    """Rotate a float [H, W, C] array around its center, bilinear sampling
-    with reflect padding for out-of-frame coordinates."""
-    if degrees == 0.0:
+def rotate_bilinear(img: np.ndarray, degrees) -> np.ndarray:
+    """Rotate a float [H, W, C] image, or an [N, H, W, C] batch with one angle
+    per image, around its center: bilinear sampling with reflect padding
+    (period 2n - 2, no edge repetition) for out-of-frame coordinates.
+
+    The input is cast to float32 and the result is float64, except that one
+    image rotated by exactly 0 degrees comes back as the float32 cast.
+    """
+    if img.ndim == 3 and degrees == 0.0:
         return img.astype(np.float32, copy=False)
-    h, w = img.shape[:2]
-    theta = math.radians(degrees)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    batch = img if img.ndim == 4 else img[None]
+    angles = list(degrees) if img.ndim == 4 else [degrees]
+    if len(angles) != len(batch):
+        raise ValueError(f"rotate_bilinear: {len(angles)} angles for "
+                         f"{len(batch)} images")
+    thetas = [math.radians(d) for d in angles]
+    if not all(math.isfinite(t) for t in thetas):
+        raise ValueError("rotate_bilinear: angles must be finite")
+    # math, not numpy, trigonometry: numpy's vectorised cos/sin may differ
+    # from it in the last place
+    cos_t = np.array([math.cos(t) for t in thetas])
+    sin_t = np.array([math.sin(t) for t in thetas])
+    n, h, w, c = batch.shape
+    out = np.empty((c, n, h, w))
+    step = max(1, _ROTATE_CHUNK_PIXELS // (h * w))
+    for start in range(0, n, step):
+        part = slice(start, start + step)
+        _rotate_into(out[:, part], batch[part], cos_t[part], sin_t[part])
+    out = out.transpose(1, 2, 3, 0)
+    return out if img.ndim == 4 else out[0]
+
+
+def _rotate_into(out: np.ndarray, img: np.ndarray, cos_t: np.ndarray,
+                 sin_t: np.ndarray) -> None:
+    """Rotate [N, H, W, C] images into the float64 [C, N, H, W] ``out``."""
+    n, h, w, c = img.shape
+    cos_t, sin_t = cos_t[:, None, None], sin_t[:, None, None]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     yy, xx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
     # inverse mapping: sample source coordinates for each output pixel
-    src_y = cos_t * yy + sin_t * xx + cy
-    src_x = -sin_t * yy + cos_t * xx + cx
-    y0 = np.floor(src_y).astype(int)
-    x0 = np.floor(src_x).astype(int)
-    wy = (src_y - y0)[..., None]
-    wx = (src_x - x0)[..., None]
-    img = img.astype(np.float32, copy=False)
-
-    def g(yi, xi):
-        return img[_reflect_index(yi, h), _reflect_index(xi, w)]
-
-    top = g(y0, x0) * (1 - wx) + g(y0, x0 + 1) * wx
-    bot = g(y0 + 1, x0) * (1 - wx) + g(y0 + 1, x0 + 1) * wx
-    return top * (1 - wy) + bot * wy
+    wy = cos_t * yy + sin_t * xx + cy
+    wx = -sin_t * yy + cos_t * xx + cx
+    y0 = np.floor(wy)
+    x0 = np.floor(wx)
+    wy -= y0
+    wx -= x0
+    y0 = y0.astype(np.intp)
+    x0 = x0.astype(np.intp)
+    # reflect-pad every plane by the farthest source coordinate, so that each
+    # bilinear corner is one flat gather
+    top, left = max(0, -int(y0.min())), max(0, -int(x0.min()))
+    bottom = max(0, int(y0.max()) + 2 - h)
+    right = max(0, int(x0.max()) + 2 - w)
+    planes = img.astype(np.float32, copy=False).transpose(3, 0, 1, 2)
+    planes = np.pad(planes.astype(np.float64),
+                    ((0, 0), (0, 0), (top, bottom), (left, right)), mode="reflect")
+    hp, wp = planes.shape[2:]
+    planes = planes.reshape(c, -1)
+    idx = y0
+    idx += top + np.arange(n)[:, None, None] * hp
+    idx *= wp
+    idx += x0
+    idx += left
+    omy, omx = 1 - wy, 1 - wx
+    # top = g00*(1-wx) + g01*wx, bot likewise, top*(1-wy) + bot*wy: the
+    # operation order of a per-image float64 lerp, so every bit matches it
+    a = np.empty((n, h, w))
+    b = np.empty((n, h, w))
+    for plane, o in zip(planes, out):
+        np.take(plane, idx, out=a, mode="clip")
+        a *= omx
+        np.take(plane[1:], idx, out=b, mode="clip")
+        b *= wx
+        a += b
+        a *= omy
+        np.take(plane[wp:], idx, out=b, mode="clip")
+        b *= omx
+        np.take(plane[wp + 1:], idx, out=o, mode="clip")
+        o *= wx
+        b += o
+        b *= wy
+        np.add(a, b, out=o)
 
 
 def normalize(img: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """Scale 0..255 pixels to unit range, then standardize per channel."""
-    return (img / 255.0 - mean) / std
+    """Scale 0..255 pixels to unit range, then standardize per channel, in
+    the input's precision (float64 for integer pixels)."""
+    out = img / 255.0
+    out -= mean
+    out /= std
+    return out
 
 
 def denormalize(img: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:

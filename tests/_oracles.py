@@ -120,3 +120,66 @@ def depthwise_conv2d_vjps_loops(x, k, g, pad):
                         dx[:, :, r, s] += k[:, 0, p, q] * g[:, :, i, j]
                         dk[:, 0, p, q] += (x[:, :, r, s] * g[:, :, i, j]).sum(axis=0)
     return dx, dk
+
+
+def _reflect_index(idx, n):
+    # symmetric reflection without edge repetition, period 2n - 2
+    if n == 1:
+        return np.zeros_like(idx)
+    period = 2 * n - 2
+    idx = np.mod(idx, period)
+    return np.where(idx >= n, period - idx, idx)
+
+
+def rotate_bilinear_per_image(img, degrees):
+    """One-image bilinear rotation with reflect padding, an index-folding
+    formulation independent of the library's padded batch gather."""
+    if degrees == 0.0:
+        return img.astype(np.float32, copy=False)
+    h, w = img.shape[:2]
+    theta = math.radians(degrees)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    yy, xx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
+    src_y = cos_t * yy + sin_t * xx + cy
+    src_x = -sin_t * yy + cos_t * xx + cx
+    y0 = np.floor(src_y).astype(int)
+    x0 = np.floor(src_x).astype(int)
+    wy = (src_y - y0)[..., None]
+    wx = (src_x - x0)[..., None]
+    img = img.astype(np.float32, copy=False)
+
+    def g(yi, xi):
+        return img[_reflect_index(yi, h), _reflect_index(xi, w)]
+
+    top = g(y0, x0) * (1 - wx) + g(y0, x0 + 1) * wx
+    bot = g(y0 + 1, x0) * (1 - wx) + g(y0 + 1, x0 + 1) * wx
+    return top * (1 - wy) + bot * wy
+
+
+def load_batch_per_sample(manifest, split_name, indices, augment, train_mode,
+                          seed, epoch=0):
+    """Decode, resize, augment and normalize one sample at a time: the
+    reference the batched ``data.load_batch`` must match bit for bit."""
+    from convlora import images
+
+    mean = np.asarray(augment.normalize_mean, dtype=np.float32)
+    std = np.asarray(augment.normalize_std, dtype=np.float32)
+    xs = np.empty((len(indices), 3, augment.resize, augment.resize), dtype=np.float32)
+    ys = np.empty(len(indices), dtype=np.int64)
+    for row, i in enumerate(indices):
+        sample = manifest.samples[int(i)]
+        assert sample.split == split_name
+        img = images.read_image(sample.path).astype(np.float32)
+        img = images.resize_bilinear(img, augment.resize, augment.resize)
+        if train_mode:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, int(i)]))
+            if augment.hflip_prob > 0 and rng.random() < augment.hflip_prob:
+                img = images.hflip(img)
+            if augment.rotation_max_deg > 0:
+                angle = rng.uniform(-augment.rotation_max_deg, augment.rotation_max_deg)
+                img = rotate_bilinear_per_image(img, angle)
+        img = (img / 255.0 - mean) / std
+        xs[row] = img.transpose(2, 0, 1)
+        ys[row] = sample.class_id
+    return xs, ys

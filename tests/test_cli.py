@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from test_persist import LAYOUT_BREAKS, _edit_header, _rename
 
 from convlora import images as I
-from convlora import cli, persist
+from convlora import backbone, cli, persist
+from convlora.data import AugmentConfig
+from convlora.tensor import Tensor
 from convlora.cli import main
 
 
@@ -334,6 +336,32 @@ class TestSaliency:
         assert run(["saliency", "--checkpoint", str(trained["base"]),
                     "--image", str(image), "--class-idx", "1",
                     "--out", str(out)]) == 0
+
+    def test_one_forward_without_class_idx(self, dataset, trained, tmp_path,
+                                           monkeypatch, capsys):
+        image = next(iter(sorted(dataset.rglob("*.ppm"))))
+        model = persist.load(trained["base"])
+        aug = AugmentConfig(resize=32)
+        x = I.normalize(I.read_image(image).astype(np.float32),
+                        np.asarray(aug.normalize_mean, dtype=np.float32),
+                        np.asarray(aug.normalize_std, dtype=np.float32))
+        top = int(backbone.forward(model, Tensor(x.transpose(2, 0, 1)[None])).data.argmax())
+        explicit = tmp_path / "explicit.pgm"
+        assert run(["saliency", "--checkpoint", str(trained["base"]),
+                    "--image", str(image), "--class-idx", str(top),
+                    "--out", str(explicit)]) == 0
+        capsys.readouterr()
+
+        calls = []
+        forward = backbone.forward
+        monkeypatch.setattr(backbone, "forward",
+                            lambda *a, **k: calls.append(1) or forward(*a, **k))
+        out = tmp_path / "auto.pgm"
+        assert run(["saliency", "--checkpoint", str(trained["base"]),
+                    "--image", str(image), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == f"wrote {out} (class {top})\n"
+        assert out.read_bytes() == explicit.read_bytes()
 
     def test_map_matches_source_resolution(self, trained, tmp_path):
         rng = np.random.default_rng(0)

@@ -1,10 +1,13 @@
 """Tests for image codecs, dataset scanning, splitting, and augmentation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _oracles import load_batch_per_sample, rotate_bilinear_per_image
 from convlora import data as D
 from convlora import images as I
 
@@ -144,6 +147,32 @@ class TestScanDataset:
         (small_tree / "benign" / "notes.txt").write_text("hi")
         with pytest.raises(I.ImageFormatError):
             D.scan_dataset(small_tree)
+
+    def test_order_and_paths_match_path_sorting(self, tmp_path):
+        # awkward names: case, digits, dots, non-ASCII; stray entries ignored
+        pixel = np.zeros((2, 2, 3), dtype=np.uint8)
+        for cls in ("b", "B", "a.cls", "\u00e9t\u00e9", "10", "9"):
+            (tmp_path / cls).mkdir()
+            for name in ("x.ppm", "X.PPM", "10.ppm", "9.png", "..ppm", "a.b.ppm"):
+                I.write_ppm(tmp_path / cls / name, pixel)
+            (tmp_path / cls / "sub.ppm").mkdir()
+        (tmp_path / "stray.ppm").write_bytes(b"")
+        (tmp_path / "groups.tsv").write_text("b/x.ppm\tg\n")
+        for root in (tmp_path, f"{tmp_path}/", str(tmp_path)):
+            m = D.scan_dataset(root)
+            class_dirs = sorted(d for d in Path(root).iterdir() if d.is_dir())
+            assert m.class_names == [d.name for d in class_dirs]
+            expected = [(str(p), c) for c, d in enumerate(class_dirs)
+                        for p in sorted(p for p in d.iterdir() if p.is_file())]
+            assert [(s.path, s.class_id) for s in m.samples] == expected
+            assert [s.group_key for s in m.samples].count("g") == 1
+
+    def test_suffix_rule_matches_pathlib(self, small_tree):
+        for name in (".ppm", "noext", "img.", "img.ppm.txt"):
+            (small_tree / "benign" / name).write_bytes(b"")
+            with pytest.raises(I.ImageFormatError):
+                D.scan_dataset(small_tree)
+            (small_tree / "benign" / name).unlink()
 
     def test_groups_tsv(self, small_tree):
         (small_tree / "groups.tsv").write_text(
@@ -386,3 +415,101 @@ class TestManifestExport:
         assert lines[0] == "path\tclass\tgroup\tsplit"
         assert len(lines) == 1 + len(m.samples)
         assert "benign" in lines[1]
+
+
+@pytest.fixture(scope="module")
+def mixed_tree(tmp_path_factory):
+    """Two classes whose images come in several source sizes, so one batch
+    mixes resized and unresized rows."""
+    root = tmp_path_factory.mktemp("mixed")
+    rng = np.random.default_rng(11)
+    sizes = [(32, 32), (20, 27), (48, 48), (32, 32), (5, 3), (1, 1)]
+    for cls in ("a", "b"):
+        (root / cls).mkdir()
+        for k, hw in enumerate(sizes):
+            I.write_ppm(root / cls / f"{k}.ppm",
+                        rng.integers(0, 256, size=(*hw, 3), dtype=np.uint8))
+    return D.split(D.scan_dataset(root), ratios=(1.0, 0.0, 0.0), seed=0)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+class TestBatchedPixels:
+    """The batched data path against the per-sample reference, bit for bit."""
+
+    @given(hflip=st.sampled_from([0.0, 0.5, 1.0]),
+           rotation=st.sampled_from([0.0, 15.0, 180.0]),
+           resize=st.sampled_from([32, 24, 48]), train_mode=st.booleans(),
+           seed=st.integers(0, 2**16), epoch=st.integers(0, 50),
+           order=st.permutations(range(12)), n=st.integers(1, 12))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_load_batch_matches_per_sample(self, mixed_tree, hflip, rotation,
+                                           resize, train_mode, seed, epoch,
+                                           order, n):
+        aug = D.AugmentConfig(hflip_prob=hflip, rotation_max_deg=rotation,
+                              resize=resize)
+        idx = order[:n]
+        x, y = D.load_batch(mixed_tree, "train", idx, aug, train_mode, seed, epoch)
+        xr, yr = load_batch_per_sample(mixed_tree, "train", idx, aug,
+                                       train_mode, seed, epoch)
+        assert _same_bits(x, xr)
+        assert np.array_equal(y, yr)
+
+    @pytest.mark.parametrize("resize", [32, 24])
+    def test_zero_angle_rows_stay_float32(self, mixed_tree, monkeypatch, resize):
+        # a drawn angle of exactly 0.0 skips the rotation and its float64
+        # result, as rotate_bilinear(img, 0.0) does for one image
+        real = np.random.default_rng
+
+        class EvenRowsUnrotated:
+            def __init__(self, seq):
+                self._rng = real(seq)
+                self._zero = seq.entropy[2] % 2 == 0
+
+            def random(self):
+                return self._rng.random()
+
+            def uniform(self, lo, hi):
+                angle = self._rng.uniform(lo, hi)
+                return 0.0 if self._zero else angle
+
+        monkeypatch.setattr(np.random, "default_rng", EvenRowsUnrotated)
+        aug = D.AugmentConfig(hflip_prob=0.5, rotation_max_deg=30.0, resize=resize)
+        idx = list(range(12))
+        x, _ = D.load_batch(mixed_tree, "train", idx, aug, True, 4, 2)
+        xr, _ = load_batch_per_sample(mixed_tree, "train", idx, aug, True, 4, 2)
+        assert _same_bits(x, xr)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 7), (7, 2), (5, 8), (17, 40),
+                                       (160, 96)])
+    def test_rotate_batch_matches_per_image(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        n = 5
+        img = (rng.random((n, *shape, 3)) * 255).astype(np.float32)
+        angles = [720.0, -720.0, *rng.uniform(-720.0, 720.0, size=n - 2)]
+        out = I.rotate_bilinear(img, angles)
+        assert out.shape == img.shape and out.dtype == np.float64
+        for k in range(n):
+            ref = rotate_bilinear_per_image(img[k], angles[k])
+            assert np.array_equal(out[k].view(np.uint64), ref.view(np.uint64))
+            single = I.rotate_bilinear(img[k], angles[k])
+            assert np.array_equal(single.view(np.uint64), ref.view(np.uint64))
+
+    def test_rotate_casts_float64_input_first(self):
+        rng = np.random.default_rng(9)
+        img = rng.normal(size=(2, 9, 11, 3)) * 50.0
+        out = I.rotate_bilinear(img, [10.0, -33.3])
+        for k, angle in enumerate([10.0, -33.3]):
+            assert np.array_equal(out[k], rotate_bilinear_per_image(img[k], angle))
+
+    def test_rotate_rejects_bad_angles(self):
+        img = np.zeros((2, 4, 4, 3), dtype=np.float32)
+        with pytest.raises(ValueError):
+            I.rotate_bilinear(img, [1.0])
+        with pytest.raises(ValueError):
+            I.rotate_bilinear(img, [1.0, float("nan")])
+        with pytest.raises(ValueError):
+            I.rotate_bilinear(img[0], float("inf"))

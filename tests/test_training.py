@@ -1,5 +1,7 @@
 """Tests for the optimizer, early stopping, evaluation, and cross-domain eval."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,30 @@ class TestTrainLoop:
                 adamw_step(params, {n: p.grad for n, p in params.items()},
                            state, t_step, cfg)
             assert losses[-1] < losses[0]
+
+    def test_step_graph_dies_before_next_batch(self, toy_task, monkeypatch):
+        # the logits and loss arrays of step k are unreachable by the time
+        # step k + 1 loads its batch: no graph outlives its training step
+        from convlora import training
+        refs = []
+        alive_at_load = []
+        load_batch, loss_fn = training.load_batch, T.softmax_cross_entropy
+
+        def load(*args, **kwargs):
+            alive_at_load.append(sum(r() is not None for r in refs))
+            return load_batch(*args, **kwargs)
+
+        def loss(logits, labels):
+            out = loss_fn(logits, labels)
+            refs.extend([weakref.ref(logits.data), weakref.ref(out.data)])
+            return out
+
+        monkeypatch.setattr(training, "load_batch", load)
+        monkeypatch.setattr(T, "softmax_cross_entropy", loss)
+        cfg = TrainConfig(lr=1e-3, max_epochs=2, batch_size=16, patience=5, seed=7)
+        train(build_model(tiny_test_config(), seed=7), toy_task, cfg, AUG)
+        assert len(refs) >= 8
+        assert alive_at_load == [0] * len(alive_at_load)
 
     def test_freeze_discipline_end_to_end(self, toy_task):
         model = build_model(tiny_test_config(), seed=3)

@@ -14,7 +14,10 @@ digest:
 - ``merged``: the checkpoint of the re-attached adapter merged into its base;
 - ``grads32``, ``grads96``: every trainable gradient of one base-config
   LoRA r=16 train step (fc1/fc2, dropout 0.1) at 32 px, batch 4, and at
-  96 px, batch 2.
+  96 px, batch 2;
+- ``pixels``: ``load_batch`` outputs from 32-px sources in train and eval
+  mode, with flips and rotations (up to 15 and 180 degrees) on and off, at
+  ``resize`` 32, 24 and 48.
 
 Digests depend on the numpy/BLAS build (README, Numerics), so they compare
 checkouts on one machine; they are not fixed constants.
@@ -72,6 +75,22 @@ def _grads_digest(size: int, batch: int) -> str:
                   for name in sorted(params)))
 
 
+def _pixels_digest(root: Path) -> str:
+    manifest = data.split(data.synth_domain(root, CLASSES, 8, seed=1), (1.0, 0.0, 0.0))
+    idx = manifest.indices_for("train")
+    blobs = []
+    for resize in (32, 24, 48):
+        for hflip, rotation in ((0.0, 0.0), (0.5, 0.0), (0.0, 15.0), (0.5, 15.0),
+                                (1.0, 180.0)):
+            augment = AugmentConfig(hflip_prob=hflip, rotation_max_deg=rotation,
+                                    resize=resize)
+            for train_mode in (True, False):
+                x, y = data.load_batch(manifest, "train", idx, augment,
+                                       train_mode, seed=3, epoch=1)
+                blobs += [x.tobytes(), y.tobytes()]
+    return _sha(*blobs)
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -93,6 +112,8 @@ def main() -> None:
 
     print("grads32", _grads_digest(32, 4))
     print("grads96", _grads_digest(96, 2))
+    with tempfile.TemporaryDirectory() as tmp:
+        print("pixels ", _pixels_digest(Path(tmp)))
 
 
 if __name__ == "__main__":
