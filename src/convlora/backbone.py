@@ -151,24 +151,21 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
 
 def linear_layer_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
     """(out_features, in_features) of every block projection layer, by name."""
-    shapes: dict[str, tuple[int, int]] = {}
-    for s in range(4):
-        c = config.dims[s]
-        for b in range(config.depths[s]):
-            pre = f"stages.{s}.blocks.{b}."
-            shapes[pre + "fc1"] = (config.mlp_ratio * c, c)
-            shapes[pre + "fc2"] = (c, config.mlp_ratio * c)
-    return shapes
+    return {name.removesuffix(".weight"): shape for name, shape, _ in param_shapes(config)
+            if name.endswith((".fc1.weight", ".fc2.weight"))}
 
 
 def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...],
                  std: float = INIT_STD) -> np.ndarray:
     """Normal samples rejected outside two standard deviations, then scaled."""
     out = rng.standard_normal(shape)
-    bad = np.abs(out) > 2.0
-    while bad.any():
-        out[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(out) > 2.0
+    # redraws go to the rejected positions in ascending order, and only the
+    # values just redrawn are tested again
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2.0)
+    while bad.size:
+        flat[bad] = rng.standard_normal(bad.size)
+        bad = bad[np.abs(flat[bad]) > 2.0]
     return (out * std).astype(np.float32)
 
 

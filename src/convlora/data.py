@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -75,9 +76,10 @@ class AugmentConfig:
     normalize_std: tuple[float, float, float] = (0.229, 0.224, 0.225)
 
     def validate(self) -> None:
-        # written so that NaN fails every range check
-        if not self.rotation_max_deg >= 0:
-            raise ValueError("rotation_max_deg must be >= 0")
+        # written so that NaN fails every range check; load_batch draws
+        # from [-m, m], whose width 2m must be a finite float
+        if not 0 <= self.rotation_max_deg <= sys.float_info.max / 2:
+            raise ValueError("rotation_max_deg must be >= 0 and twice it finite")
         if self.resize < 4:
             raise ValueError("resize must be >= 4")
         if not 0.0 <= self.hflip_prob <= 1.0:

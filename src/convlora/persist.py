@@ -4,8 +4,10 @@ Layout: an 8-byte magic (``CVLORA01``), a little-endian uint32 header
 length, a UTF-8 JSON header, then the payload of concatenated little-endian
 float32 tensors in header index order. The header carries the kind
 (base/adapter), the architecture config, adapter settings when relevant,
-class names, a per-tensor index (name, shape, offset), and a SHA-256 of the
-payload that is verified on load. No timestamps and sorted JSON keys keep
+class names, a per-tensor index (name, shape, dtype, offset), and a SHA-256
+of the payload that is verified on load. The index is a function of the
+kind, config and adapter settings (``_layout``): ``save`` writes it, and
+``load`` accepts no other. No timestamps and sorted JSON keys keep
 the bytes identical for identical inputs; writes go through a temp file and
 an atomic rename.
 """
@@ -13,6 +15,7 @@ an atomic rename.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -35,40 +38,51 @@ class CheckpointError(ValueError):
     """The file is not a valid checkpoint (bad magic, checksum, or layout)."""
 
 
-def _tensor_entries(named: list[tuple[str, np.ndarray]]):
-    entries = []
-    offset = 0
-    for name, arr in named:
-        entries.append({"name": name, "shape": list(arr.shape),
-                        "dtype": "float32", "offset": offset})
-        offset += arr.size * 4
-    return entries, offset
+def _layout(kind: str, config: ModelConfig, lora: dict | None) -> list[dict]:
+    """The tensor index ``save`` writes and ``load`` accepts, in payload
+    order: every parameter of a base checkpoint in ``param_shapes`` order;
+    for an adapter checkpoint, each of ``lora``'s targets' A then B, then
+    the head. Each entry is {dtype, name, offset, shape}, keys in the sorted
+    order of save's JSON, and the tensors are contiguous float32."""
+    shapes = [(name, shape) for name, shape, _ in param_shapes(config)]
+    if kind == "adapter":
+        layers = linear_layer_shapes(config)
+        head = [(name, shape) for name, shape in shapes if name.startswith("head.")]
+        shapes = []
+        for target in (lora["targets"] if lora else ()):
+            d, k = layers[target]
+            shapes += [(f"lora.{target}.A", (lora["rank"], k)),
+                       (f"lora.{target}.B", (d, lora["rank"]))]
+        shapes += head
+    entries, offset = [], 0
+    for name, shape in shapes:
+        entries.append({"dtype": "float32", "name": name, "offset": offset,
+                        "shape": list(shape)})
+        offset += 4 * math.prod(shape)
+    return entries
 
 
-def _named_tensors(obj) -> tuple[str, list[tuple[str, np.ndarray]], dict | None]:
+def save(obj, path: str | Path) -> None:
+    """Write a Model (kind "base") or PeftModel (kind "adapter") checkpoint.
+
+    Raises ValueError, and writes nothing, when an array's shape differs
+    from the one the layout gives its name."""
     if isinstance(obj, PeftModel):
-        named = [(name, t.data) for name, t in obj.trainable_params().items()]
+        kind, named = "adapter", obj.trainable_params()
         some = next(iter(obj.adapters.values()), None)
-        lora_cfg = None
-        if some is not None:
-            lora_cfg = {"rank": some.rank, "alpha": some.alpha,
-                        "dropout_p": some.dropout_p,
-                        "targets": sorted(obj.adapters)}
-        return "adapter", named, lora_cfg
-    if isinstance(obj, Model):
-        named = [(name, obj.params[name].data) for name, _, _ in param_shapes(obj.config)]
-        return "base", named, None
-    raise TypeError(f"cannot checkpoint object of type {type(obj).__name__}")
-
-
-def save(obj, path: str | Path, kind: str | None = None) -> None:
-    """Write a Model (kind "base") or PeftModel (kind "adapter") checkpoint."""
-    inferred, named, lora_cfg = _named_tensors(obj)
-    if kind is not None and kind != inferred:
-        raise ValueError(f"kind {kind!r} does not match object kind {inferred!r}")
-    arrays = [np.ascontiguousarray(arr, dtype="<f4") for _, arr in named]
-    entries, payload_nbytes = _tensor_entries(
-        [(n, a) for (n, _), a in zip(named, arrays)])
+        lora_cfg = None if some is None else {
+            "rank": some.rank, "alpha": some.alpha, "dropout_p": some.dropout_p,
+            "targets": sorted(obj.adapters)}
+    elif isinstance(obj, Model):
+        kind, named, lora_cfg = "base", obj.params, None
+    else:
+        raise TypeError(f"cannot checkpoint object of type {type(obj).__name__}")
+    entries = _layout(kind, obj.config, lora_cfg)
+    arrays = [np.ascontiguousarray(named[e["name"]].data, dtype="<f4") for e in entries]
+    for entry, arr in zip(entries, arrays):
+        if list(arr.shape) != entry["shape"]:
+            raise ValueError(f"tensor {entry['name']!r} has shape {list(arr.shape)}, "
+                             f"the layout gives it {entry['shape']}")
 
     # contiguous little-endian arrays go to the hash and the file through
     # the buffer protocol, without a bytes copy of each tensor
@@ -78,13 +92,13 @@ def save(obj, path: str | Path, kind: str | None = None) -> None:
 
     header = {
         "format_version": FORMAT_VERSION,
-        "kind": inferred,
+        "kind": kind,
         "model_config": obj.config.to_dict(),
         "lora": lora_cfg,
         "class_names": obj.class_names,
         "created_by": CREATED_BY,
         "tensors": entries,
-        "payload_nbytes": payload_nbytes,
+        "payload_nbytes": sum(arr.nbytes for arr in arrays),
         "payload_sha256": digest.hexdigest(),
     }
     header_bytes = json.dumps(header, sort_keys=True,
@@ -138,41 +152,11 @@ def _typed(value, *types: type) -> bool:
     return type(value) in types
 
 
-def _expected_shapes(path, header: dict, config: ModelConfig) -> dict[str, tuple]:
-    """Name -> shape of every tensor the header's kind, config and adapter
-    settings imply."""
-    shapes = {name: shape for name, shape, _ in param_shapes(config)}
-    if header["kind"] == "base":
-        return shapes
-    shapes = {name: shapes[name] for name in ("head.weight", "head.bias")}
-    lora = header.get("lora")
-    if lora is None:
-        return shapes
-    if not (_typed(lora, dict) and _typed(lora.get("rank"), int) and lora["rank"] >= 1
-            and _typed(lora.get("alpha"), int, float)
-            and _typed(lora.get("dropout_p"), int, float) and 0 <= lora["dropout_p"] < 1
-            and _typed(lora.get("targets"), list)):
-        raise CheckpointError(f"{path}: header field 'lora' needs an int rank >= 1, "
-                              f"a numeric alpha, a dropout_p in [0, 1) and a list "
-                              f"of targets")
-    layers = linear_layer_shapes(config)
-    for target in lora["targets"]:
-        if not _typed(target, str) or target not in layers:
-            raise CheckpointError(f"{path}: adapter target {target!r} is not a "
-                                  f"layer of the model")
-        d, k = layers[target]
-        shapes[f"lora.{target}.A"] = (lora["rank"], k)
-        shapes[f"lora.{target}.B"] = (d, lora["rank"])
-    return shapes
-
-
-def _read_header(path, header_bytes: bytes) -> tuple[dict, ModelConfig, dict]:
-    """The header, its model config and its tensor index (name -> (shape,
-    byte offset)). The index must name exactly the tensors the config and
-    adapter settings imply, at their shapes, laid out as ``save`` writes
-    them: each offset the sum of the sizes before it in index order, and
-    the last tensor ending at ``payload_nbytes``. Every failure raises
-    CheckpointError."""
+def _read_header(path, header_bytes: bytes) -> tuple[dict, ModelConfig, list[dict]]:
+    """The header, its model config and its tensor index, which must equal
+    ``_layout`` for the header's kind, config and adapter settings, entry for
+    entry and value for value, with ``payload_nbytes`` the layout's total.
+    Every failure raises CheckpointError."""
     try:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -197,40 +181,44 @@ def _read_header(path, header_bytes: bytes) -> tuple[dict, ModelConfig, dict]:
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad model_config: {e!r}") from e
 
-    index: dict[str, tuple[tuple, object]] = {}
-    for entry in header["tensors"]:
-        if not (_typed(entry, dict) and _typed(entry.get("name"), str)
-                and _typed(entry.get("shape"), list)
-                and all(_typed(n, int) and n >= 0 for n in entry["shape"])
-                and entry["name"] not in index):
-            raise CheckpointError(f"{path}: bad or repeated tensor index entry {entry!r}")
-        index[entry["name"]] = (tuple(entry["shape"]), entry.get("offset"))
-    expected = _expected_shapes(path, header, config)
-    for name in sorted(expected.keys() | index.keys()):
-        got = list(index[name][0]) if name in index else "nothing"
-        want = list(expected[name]) if name in expected else "nothing"
-        if got != want:
-            raise CheckpointError(f"{path}: tensor {name!r}: the index has "
-                                  f"{got}, the config implies {want}")
-    end = 0
-    for name, (shape, offset) in index.items():
-        if not _typed(offset, int) or offset != end:
-            raise CheckpointError(f"{path}: tensor {name!r} is at byte offset "
-                                  f"{offset!r}, the layout puts it at {end}")
-        end += 4 * math.prod(shape)
-    if header["payload_nbytes"] != end:
+    lora = header.get("lora") if header["kind"] == "adapter" else None
+    if lora is not None:
+        if not (_typed(lora, dict) and _typed(lora.get("rank"), int) and lora["rank"] >= 1
+                and _typed(lora.get("alpha"), int, float)
+                and _typed(lora.get("dropout_p"), int, float) and 0 <= lora["dropout_p"] < 1
+                and _typed(lora.get("targets"), list)):
+            raise CheckpointError(f"{path}: header field 'lora' needs an int rank >= 1, "
+                                  f"a numeric alpha, a dropout_p in [0, 1) and a list "
+                                  f"of targets")
+        layers = linear_layer_shapes(config)
+        for target in lora["targets"]:
+            if not _typed(target, str) or target not in layers:
+                raise CheckpointError(f"{path}: adapter target {target!r} is not a "
+                                      f"layer of the model")
+        if lora["targets"] != sorted(set(lora["targets"])):
+            raise CheckpointError(f"{path}: adapter targets must be sorted and distinct")
+
+    # compared by repr, in which 8.0, True and 8 differ (Python takes them
+    # as equal) and keys appear in the sorted order that save writes
+    layout = _layout(header["kind"], config, lora)
+    for i, (got, want) in enumerate(itertools.zip_longest(header["tensors"], layout)):
+        if repr(got) != repr(want):
+            raise CheckpointError(f"{path}: tensor index entry {i} is {got!r}, "
+                                  f"the layout has {want!r}")
+    total = sum(4 * math.prod(e["shape"]) for e in layout)
+    if header["payload_nbytes"] != total:
         raise CheckpointError(f"{path}: payload_nbytes is {header['payload_nbytes']}, "
-                              f"the tensors take {end}")
-    return header, config, index
+                              f"the tensors take {total}")
+    return header, config, layout
 
 
 def load(path: str | Path):
     """Read a checkpoint; returns a Model or an AdapterCheckpoint.
 
-    Verifies the magic, the header's fields and types, a tensor index that
-    names exactly the tensors the config implies at their shapes and in
-    ``save``'s contiguous layout, the payload length and the checksum;
-    corruption anywhere raises CheckpointError. The payload is read once
+    Verifies the magic, the header's fields and types, a tensor index equal
+    to ``save``'s layout for the header's kind, config and adapter settings,
+    the payload length and the checksum; corruption anywhere raises
+    CheckpointError. Tensors are sliced by the layout. The payload is read once
     into a single float32 array and every tensor is a view into it, so a
     load holds one copy of the file's tensors.
     """
@@ -242,7 +230,7 @@ def load(path: str | Path):
         header_bytes = f.read(header_len)
         if len(header_bytes) < header_len:
             raise CheckpointError(f"{path}: truncated header")
-        header, config, index = _read_header(path, header_bytes)
+        header, config, layout = _read_header(path, header_bytes)
 
         nbytes = header["payload_nbytes"]
         on_disk = os.fstat(f.fileno()).st_size - f.tell()
@@ -257,10 +245,8 @@ def load(path: str | Path):
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise CheckpointError(f"{path}: payload checksum mismatch")
 
-    tensors: dict[str, np.ndarray] = {}
-    for name, (shape, offset) in index.items():
-        start = offset // 4
-        tensors[name] = payload[start:start + math.prod(shape)].reshape(shape)
+    tensors = {e["name"]: payload[e["offset"] // 4:][:math.prod(e["shape"])]
+               .reshape(e["shape"]) for e in layout}
 
     class_names = header["class_names"]
     if header["kind"] == "base":

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_persist import LAYOUT_BREAKS, _edit_header, _rename
+from test_persist import LAYOUT_BREAKS, _edit_header, _rename, _swap_names
 
 from convlora import images as I
 from convlora import backbone, cli, persist
@@ -434,6 +434,17 @@ def test_checkpoint_off_the_layout_exits_2_with_one_line(trained, tmp_path,
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+def test_swapped_tensor_names_exit_2_with_one_line(trained, tmp_path, capsys):
+    # same shapes, so only the layout tells the two tensors apart
+    path = tmp_path / "base.ckpt"
+    shutil.copy(trained["base"], path)
+    _edit_header(path, _swap_names("stem.norm.gamma", "stem.norm.beta"))
+    capsys.readouterr()
+    assert run(["params", "--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 # (command, extra flags); "config" runs params with the object as the config
 # file, train runs also get _toy_train_args and saliency runs the trained
 # 3-class base on one dataset image, so each fails on the one setting named here
@@ -463,6 +474,8 @@ MALFORMED = [
     pytest.param("config", {"train": 5}, id="json-value-for-table"),
     pytest.param("config", [1, 2], id="json-top-level-list"),
     pytest.param("config", {"lora": {"rnak": 4}}, id="json-unknown-key"),
+    pytest.param("config", {"augment": {"rotation_max_deg": float("inf")}},
+                 id="json-rotation-infinity"),
     pytest.param("train", ["--train.max_epochs", "abc"], id="max_epochs-text"),
     pytest.param("train", ["--lora.rank", "0"], id="train-rank-0"),
     pytest.param("train", ["--lora.targets", "foo"], id="train-no-target"),
@@ -485,6 +498,11 @@ MALFORMED = [
                  id="ratios-inf"),
     pytest.param("train", ["--lora.rank", "2", "--data.ratios", "0.9,0.1,0"],
                  id="no-test-split"),
+    pytest.param("train", ["--lora.rank", "2", "--augment.rotation_max_deg", "inf"],
+                 id="rotation-inf"),
+    pytest.param("train", ["--lora.rank", "2", "--augment.rotation_max_deg", "1e308"],
+                 id="rotation-overflows"),
+    pytest.param("params", ["--augment.rotation_max_deg", "inf"], id="params-rotation-inf"),
     pytest.param("saliency", ["--class-idx", "7"], id="class-idx-above"),
     pytest.param("saliency", ["--class-idx", "-1"], id="class-idx-negative"),
 ]

@@ -2,16 +2,19 @@
 
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from convlora import persist
 from convlora.backbone import (ModelConfig, build_model, forward, param_shapes,
                                tiny_test_config)
 from convlora.errors import CompatibilityError
-from convlora.lora import inject, peft_forward
+from convlora.lora import head_only, inject, peft_forward
 from convlora.persist import CheckpointError
 from convlora.tensor import Tensor
 
@@ -127,10 +130,6 @@ class TestBaseCheckpoint:
         persist.save(toy_model, tmp_path / "f32.ckpt")
         assert (tmp_path / "f32.ckpt").read_bytes() == blob
 
-    def test_explicit_kind_mismatch(self, toy_model, tmp_path):
-        with pytest.raises(ValueError):
-            persist.save(toy_model, tmp_path / "m.ckpt", kind="adapter")
-
 
 class TestAdapterCheckpoint:
     def test_round_trip_and_attach_parity(self, toy_model, tmp_path):
@@ -199,6 +198,15 @@ class TestAdapterCheckpoint:
         for name, t in first.trainable_params().items():
             assert not any(np.shares_memory(t.data, s.data) for s in sources), name
             assert not np.shares_memory(t.data, second.trainable_params()[name].data)
+
+    def test_head_only_lays_out_the_head_alone(self, toy_model, tmp_path):
+        peft = head_only(toy_model, seed=2, num_classes=5)
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        persist.save(peft, p1)
+        loaded = persist.load(p1)
+        assert loaded.lora is None and list(loaded.tensors) == ["head.weight", "head.bias"]
+        persist.save(loaded.attach(toy_model), p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_saving_a_shared_base_writes_the_same_bytes(self, toy_model, tmp_path):
         peft = inject(toy_model, r=2, alpha=4.0, dropout_p=0.0, seed=1)
@@ -349,3 +357,141 @@ class TestHeaderValidation:
         breaks(checkpoints[kind])
         with pytest.raises(CheckpointError, match="offset|payload_nbytes"):
             persist.load(checkpoints[kind])
+
+
+def _swap_names(a, b):
+    def edit(header):
+        entries = {e["name"]: e for e in header["tensors"]}
+        entries[a]["name"], entries[b]["name"] = b, a
+    return edit
+
+
+def _map_entry(name, key, f):
+    def edit(header):
+        entry = next(e for e in header["tensors"] if e["name"] == name)
+        entry[key] = f(entry.get(key))
+    return edit
+
+
+def _swap_entries(i, j):
+    """Exchange index entries i and j and recompute every offset, so the
+    index still lays the tensors out contiguously."""
+    def edit(header):
+        entries = header["tensors"]
+        entries[i], entries[j] = entries[j], entries[i]
+        offset = 0
+        for e in entries:
+            e["offset"] = offset
+            offset += 4 * math.prod(e["shape"])
+    return edit
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """The bytes of a base and an adapter checkpoint, by kind."""
+    model = build_model(tiny_test_config(), seed=0, class_names=list("abcd"))
+    out = {}
+    for kind, obj in (("base", model), ("adapter", inject(model, r=2, alpha=4.0, seed=1))):
+        path = tmp_path_factory.mktemp("saved") / f"{kind}.ckpt"
+        persist.save(obj, path)
+        out[kind] = path.read_bytes()
+    return out
+
+
+class TestLayout:
+    """The index must equal save's layout, entry for entry and value for
+    value. Every edit here keeps the header well typed and the payload
+    checksum valid."""
+
+    @pytest.mark.parametrize("kind, edit", [
+        pytest.param("base", _swap_names("stem.norm.gamma", "stem.norm.beta"),
+                     id="base-name-swap"),
+        pytest.param("base", _map_entry("head.bias", "dtype", lambda _: "float16"),
+                     id="base-float16"),
+        pytest.param("adapter", _map_entry("head.bias", "dtype", lambda _: "float16"),
+                     id="adapter-float16"),
+        pytest.param("base", _map_entry("head.bias", "stride", lambda _: 4),
+                     id="base-extra-key"),
+        pytest.param("adapter", _map_entry("lora.stages.0.blocks.0.fc1.A", "stride",
+                                           lambda _: 4), id="adapter-extra-key"),
+        # values Python compares equal to the layout's: 8.0 == 8, True == 1
+        pytest.param("base", _map_entry("head.bias", "offset", float),
+                     id="base-float-offset"),
+        pytest.param("base", _map_entry("stages.0.blocks.0.dwconv.weight", "shape",
+                                        lambda s: [s[0], True, *s[2:]]),
+                     id="base-bool-dimension"),
+        pytest.param("adapter", _map_entry("head.weight", "shape",
+                                           lambda s: [float(n) for n in s]),
+                     id="adapter-float-shape"),
+        pytest.param("base", _swap_entries(0, 1), id="base-reordered"),
+        pytest.param("adapter", _swap_entries(0, 1), id="adapter-reordered"),
+    ])
+    def test_index_must_equal_the_layout(self, checkpoints, kind, edit):
+        _edit_header(checkpoints[kind], edit)
+        with pytest.raises(CheckpointError, match="the layout has"):
+            persist.load(checkpoints[kind])
+
+    @pytest.mark.parametrize("kind", ["base", "adapter"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_changed_index_field_is_rejected(self, saved, tmp_path_factory,
+                                                 kind, data):
+        blob = saved[kind]
+        entries = json.loads(blob[12:12 + int.from_bytes(blob[8:12], "little")])["tensors"]
+        i = data.draw(st.integers(0, len(entries) - 1), label="entry")
+        entry = entries[i]
+        field = data.draw(st.sampled_from(["name", "shape", "dtype", "offset"]),
+                          label="field")
+        # near misses: another tensor's name or one edited by a character,
+        # a shape with a dimension changed, added or dropped, a neighbour's
+        # dtype, an offset moved by a few bytes, and values that Python
+        # compares equal (8.0 == 8, True == 1)
+        near = {
+            "name": st.sampled_from([e["name"] for e in entries]
+                                    + [entry["name"] + "x", entry["name"][:-1]]),
+            "shape": st.sampled_from([entry["shape"][:-1], entry["shape"] + [1],
+                                      [n + 1 for n in entry["shape"]],
+                                      [float(n) for n in entry["shape"]]]),
+            "dtype": st.sampled_from(["float16", "float64", "<f4", "int32", "FLOAT32"]),
+            "offset": st.sampled_from([entry["offset"] + d for d in (-4, -1, 1, 4)]
+                                      + [float(entry["offset"]), bool(entry["offset"])]),
+        }[field]
+        value = data.draw(st.one_of(near, st.none() | st.integers() | st.text(max_size=8)
+                                    | st.lists(st.integers(0, 64), max_size=4)),
+                          label="value")
+        assume(json.dumps(value) != json.dumps(entry[field]))
+        path = tmp_path_factory.getbasetemp() / f"any-field-{kind}.ckpt"
+        path.write_bytes(blob)
+        _edit_header(path, lambda header: header["tensors"][i].__setitem__(field, value))
+        with pytest.raises(CheckpointError):
+            persist.load(path)
+
+    def test_a_repeated_adapter_target_is_rejected(self, checkpoints):
+        # the index, payload and checksum agree with the repeated target
+        path = checkpoints["adapter"]
+        blob = path.read_bytes()
+        n = int.from_bytes(blob[8:12], "little")
+        header, payload = json.loads(blob[12:12 + n]), blob[12 + n:]
+        lora = header["lora"]
+        lora["targets"].insert(0, lora["targets"][0])
+        header["tensors"] = persist._layout(
+            "adapter", ModelConfig.from_dict(header["model_config"]), lora)
+        payload = payload[:header["tensors"][2]["offset"]] + payload
+        header["payload_nbytes"] = len(payload)
+        header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+        raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw + payload)
+        with pytest.raises(CheckpointError, match="distinct"):
+            persist.load(path)
+
+    @pytest.mark.parametrize("kind", ["base", "adapter"])
+    def test_save_rejects_a_wrongly_shaped_array(self, toy_model, tmp_path, kind):
+        if kind == "base":
+            obj = toy_model
+            obj.params["stem.norm.beta"] = Tensor(np.zeros(9, dtype=np.float32))
+        else:
+            obj = inject(toy_model, r=2, alpha=4.0, seed=1)
+            obj.adapters["stages.0.blocks.0.fc1"].A = Tensor(np.zeros((3, 8), np.float32))
+        with pytest.raises(ValueError, match="shape"):
+            persist.save(obj, tmp_path / "m.ckpt")
+        assert list(tmp_path.iterdir()) == []

@@ -33,7 +33,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field", [
         {"normalize_mean": (0.5,)}, {"normalize_std": (0.2, 0.2, 0.2, 0.2)},
         {"normalize_std": (0.2, 0.0, 0.2)}, {"rotation_max_deg": float("nan")},
-        {"hflip_prob": 1.5}, {"resize": 2}])
+        {"hflip_prob": 1.5}, {"resize": 2}, {"rotation_max_deg": float("inf")},
+        {"rotation_max_deg": 1e308}, {"rotation_max_deg": 10**400}])
     def test_augment_config_rejects(self, field):
         with pytest.raises(ValueError):
             AugmentConfig(**field).validate()

@@ -12,6 +12,9 @@ digest:
 - ``lora``: history and adapter checkpoint of a 3-epoch LoRA r=4 run of
   that model on a shifted domain;
 - ``merged``: the checkpoint of the re-attached adapter merged into its base;
+- ``headonly``: a ``lora.head_only`` adapter checkpoint of that base (no
+  adapters, header ``lora: null``) with a fresh 4-class head, and the
+  checkpoint its load, attach and save write;
 - ``grads32``, ``grads96``: every trainable gradient of one base-config
   LoRA r=16 train step (fc1/fc2, dropout 0.1) at 32 px, batch 4, and at
   96 px, batch 2;
@@ -109,6 +112,11 @@ def main() -> None:
         adapter = persist.load(tmp / "adapter.ckpt")
         persist.save(lora.merged_model(adapter.attach(base)), tmp / "merged.ckpt")
         print("merged ", _sha((tmp / "merged.ckpt").read_bytes()))
+
+        persist.save(lora.head_only(base, seed=2, num_classes=4), tmp / "head.ckpt")
+        persist.save(persist.load(tmp / "head.ckpt").attach(base), tmp / "head2.ckpt")
+        print("headonly", _sha((tmp / "head.ckpt").read_bytes(),
+                               (tmp / "head2.ckpt").read_bytes()))
 
     print("grads32", _grads_digest(32, 4))
     print("grads96", _grads_digest(96, 2))
