@@ -11,7 +11,8 @@ Transforms operate on float arrays in [H, W, C] layout, values 0..255;
 from __future__ import annotations
 
 import math
-from pathlib import Path
+import os
+import re
 
 import numpy as np
 
@@ -25,94 +26,90 @@ class ImageFormatError(ValueError):
     """The file is not a supported or well-formed image."""
 
 
-def _read_pnm_header(data: bytes, magic: bytes) -> tuple[list[int], int]:
+# one header field: whitespace and comments (a '#' where a field would start,
+# up to the newline), then a run of non-whitespace, empty only at end of file
+_PNM_FIELD = rb"(?:\s|#[^\n]*)*(\S*)"
+_PNM_HEADER = re.compile(3 * _PNM_FIELD)
+
+
+def _read_pnm(path: str | os.PathLike, magic: bytes, channels: int) -> np.ndarray:
+    """Decode a binary PNM file of 8-bit samples with the given magic."""
+    with open(path, "rb") as f:
+        data = f.read()
     if not data.startswith(magic):
         raise ImageFormatError(f"not a {magic.decode()} file")
+    header = _PNM_HEADER.match(data, len(magic))
     fields: list[int] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+    for field in header.groups():
+        if not field:
             raise ImageFormatError("truncated header")
-        field = data[start:pos]
         if not field.isdigit():
             raise ImageFormatError(f"non-numeric header field {field[:16]!r}")
         fields.append(int(field))
-    if 0 in fields[:2]:
-        raise ImageFormatError(f"empty image ({fields[0]}x{fields[1]})")
-    return fields, pos + 1  # single whitespace after maxval
-
-
-def read_ppm(path: str | Path) -> np.ndarray:
-    """Decode a binary P6 image to a uint8 [H, W, 3] array."""
-    data = Path(path).read_bytes()
-    (width, height, maxval), offset = _read_pnm_header(data, b"P6")
+    width, height, maxval = fields
+    if width == 0 or height == 0:
+        raise ImageFormatError(f"empty image ({width}x{height})")
     if maxval != 255:
         raise ImageFormatError(f"unsupported maxval {maxval} (only 255)")
-    need = width * height * 3
+    shape = (height, width) if channels == 1 else (height, width, channels)
+    need = math.prod(shape)
+    offset = header.end() + 1  # single whitespace after maxval
     if len(data) - offset < need:
         raise ImageFormatError(f"truncated pixel data in {path}")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=offset)
-    return pixels.reshape(height, width, 3).copy()
+    return np.frombuffer(data, np.uint8, need, offset).reshape(shape).copy()
 
 
-def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
-    """Write a uint8 [H, W, 3] array as binary P6."""
+def _write_pnm(path: str | os.PathLike, pixels: np.ndarray, magic: bytes,
+               channels: int) -> None:
+    """Write uint8 pixels as a binary PNM file with the given magic."""
     pixels = np.asarray(pixels)
-    if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != np.uint8:
-        raise ValueError(f"write_ppm expects uint8 [H, W, 3], got "
-                         f"{pixels.dtype} {pixels.shape}")
+    tail = () if channels == 1 else (channels,)
+    if pixels.ndim != 2 + len(tail) or pixels.shape[2:] != tail or pixels.dtype != np.uint8:
+        layout = ("pgm expects uint8 [H, W]" if channels == 1
+                  else f"ppm expects uint8 [H, W, {channels}]")
+        raise ValueError(f"write_{layout}, got {pixels.dtype} {pixels.shape}")
     h, w = pixels.shape[:2]
     with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
+        f.write(magic + f"\n{w} {h}\n255\n".encode())
         f.write(pixels.tobytes())
 
 
-def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
-    """Write a uint8 [H, W] array as binary P5 (grayscale)."""
-    pixels = np.asarray(pixels)
-    if pixels.ndim != 2 or pixels.dtype != np.uint8:
-        raise ValueError(f"write_pgm expects uint8 [H, W], got "
-                         f"{pixels.dtype} {pixels.shape}")
-    h, w = pixels.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(pixels.tobytes())
+def read_ppm(path: str | os.PathLike) -> np.ndarray:
+    """Decode a binary P6 image to a uint8 [H, W, 3] array."""
+    return _read_pnm(path, b"P6", 3)
 
 
-def read_pgm(path: str | Path) -> np.ndarray:
+def read_pgm(path: str | os.PathLike) -> np.ndarray:
     """Decode a binary P5 image to a uint8 [H, W] array."""
-    data = Path(path).read_bytes()
-    (width, height, maxval), offset = _read_pnm_header(data, b"P5")
-    if maxval != 255:
-        raise ImageFormatError(f"unsupported maxval {maxval} (only 255)")
-    need = width * height
-    if len(data) - offset < need:
-        raise ImageFormatError(f"truncated pixel data in {path}")
-    return np.frombuffer(data, dtype=np.uint8, count=need,
-                         offset=offset).reshape(height, width).copy()
+    return _read_pnm(path, b"P5", 1)
 
 
-def read_image(path: str | Path) -> np.ndarray:
-    """Load an image file to uint8 [H, W, 3]; .ppm natively, .png via Pillow."""
-    path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".ppm":
+def write_ppm(path: str | os.PathLike, pixels: np.ndarray) -> None:
+    """Write a uint8 [H, W, 3] array as binary P6."""
+    _write_pnm(path, pixels, b"P6", 3)
+
+
+def write_pgm(path: str | os.PathLike, pixels: np.ndarray) -> None:
+    """Write a uint8 [H, W] array as binary P5 (grayscale)."""
+    _write_pnm(path, pixels, b"P5", 1)
+
+
+def read_image(path: str | os.PathLike) -> np.ndarray:
+    """Load an image file to uint8 [H, W, 3]; .ppm natively, .png via Pillow.
+
+    The format comes from the file name by ``data.scan_dataset``'s rule: a
+    non-empty stem, a dot, then the suffix in any case."""
+    name = os.path.basename(path)
+    stem, _, suffix = name.rpartition(".")
+    suffix = suffix.lower() if stem else ""
+    if suffix == "ppm":
         return read_ppm(path)
-    if suffix == ".png":
+    if suffix == "png":
         if _PILImage is None:
             raise ImageFormatError("PNG support requires Pillow; use PPM instead")
         with _PILImage.open(path) as im:
             return np.asarray(im.convert("RGB"), dtype=np.uint8).copy()
-    raise ImageFormatError(f"unsupported image format: {path.name}")
+    raise ImageFormatError(f"unsupported image format: {name}")
 
 
 # ---------------------------------------------------------------------------

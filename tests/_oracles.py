@@ -7,6 +7,7 @@ library documents), sharing no code with it.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -183,3 +184,62 @@ def load_batch_per_sample(manifest, split_name, indices, augment, train_mode,
         xs[row] = img.transpose(2, 0, 1)
         ys[row] = sample.class_id
     return xs, ys
+
+
+def _read_pnm_header(data, magic):
+    from convlora.images import ImageFormatError
+
+    if not data.startswith(magic):
+        raise ImageFormatError(f"not a {magic.decode()} file")
+    fields: list[int] = []
+    pos = 2
+    while len(fields) < 3:
+        while pos < len(data) and data[pos : pos + 1].isspace():
+            pos += 1
+        if data[pos : pos + 1] == b"#":
+            while pos < len(data) and data[pos] != 0x0A:
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise ImageFormatError("truncated header")
+        field = data[start:pos]
+        if not field.isdigit():
+            raise ImageFormatError(f"non-numeric header field {field[:16]!r}")
+        fields.append(int(field))
+    if 0 in fields[:2]:
+        raise ImageFormatError(f"empty image ({fields[0]}x{fields[1]})")
+    return fields, pos + 1  # single whitespace after maxval
+
+
+def read_ppm_bytewise(path):
+    """Decode a binary P6 file by walking its header byte by byte: the
+    reference for ``images.read_ppm``'s pattern-based header parse."""
+    from convlora.images import ImageFormatError
+
+    data = Path(path).read_bytes()
+    (width, height, maxval), offset = _read_pnm_header(data, b"P6")
+    if maxval != 255:
+        raise ImageFormatError(f"unsupported maxval {maxval} (only 255)")
+    need = width * height * 3
+    if len(data) - offset < need:
+        raise ImageFormatError(f"truncated pixel data in {path}")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=offset)
+    return pixels.reshape(height, width, 3).copy()
+
+
+def read_pgm_bytewise(path):
+    """The P5 counterpart of ``read_ppm_bytewise``."""
+    from convlora.images import ImageFormatError
+
+    data = Path(path).read_bytes()
+    (width, height, maxval), offset = _read_pnm_header(data, b"P5")
+    if maxval != 255:
+        raise ImageFormatError(f"unsupported maxval {maxval} (only 255)")
+    need = width * height
+    if len(data) - offset < need:
+        raise ImageFormatError(f"truncated pixel data in {path}")
+    return np.frombuffer(data, dtype=np.uint8, count=need,
+                         offset=offset).reshape(height, width).copy()

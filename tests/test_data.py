@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _oracles import load_batch_per_sample, rotate_bilinear_per_image
+from _oracles import (load_batch_per_sample, read_pgm_bytewise, read_ppm_bytewise,
+                      rotate_bilinear_per_image)
 from convlora import data as D
 from convlora import images as I
 
@@ -77,6 +78,122 @@ class TestPpmCodec:
         img = rng.integers(0, 256, size=(6, 4, 3), dtype=np.uint8)
         pil.fromarray(img).save(tmp_path / "x.png")
         assert np.array_equal(I.read_image(tmp_path / "x.png"), img)
+
+
+def _decode_both(path, magic):
+    """(library outcome, bytewise reference outcome): an array, or the
+    ImageFormatError message."""
+    outcomes = []
+    for read in ((I.read_ppm, read_ppm_bytewise) if magic == b"P6"
+                 else (I.read_pgm, read_pgm_bytewise)):
+        try:
+            outcomes.append(read(path))
+        except I.ImageFormatError as e:
+            outcomes.append(str(e))
+    return outcomes
+
+
+# header grammar quirks the reader keeps: (file, decoded shape or error text)
+PNM_QUIRKS = [
+    (b"P61 2 255\n" + bytes(6), (2, 1, 3)),             # field right after magic
+    (b"P6\x0b1\x0c1\r255\t" + bytes(3), (1, 1, 3)),     # any isspace() byte separates
+    (b"P6#c\n1 1 255\n" + bytes(3), (1, 1, 3)),         # comment right after magic
+    (b"P6 1 # x\n1 # y\n255\n" + bytes(3), (1, 1, 3)),  # comments between fields
+    (b"P6 1#2 1 255\n" + bytes(6), "non-numeric header field b'1#2'"),
+    (b"P6 1 1 #comment to the end", "truncated header"),
+    (b"P6\x001 1 255\n" + bytes(3), "non-numeric header field"),  # NUL is not space
+    (b"P6 1 1", "truncated header"),
+    (b"P6 1 1 255", "truncated pixel data"),            # no byte after maxval
+    (b"P6 1 1 255\n" + bytes(2), "truncated pixel data"),
+    (b"P6 0 1 255\n", "empty image (0x1)"),
+    (b"P6 1 1 65535\n" + bytes(6), "unsupported maxval 65535"),
+    (b"P3 1 1 255\n" + bytes(3), "not a P6 file"),
+    (b"P5 2 1 255 " + bytes(2), (1, 2)),
+    (b"P5 2\n1\n00255\n" + bytes(3), (1, 2)),           # leading zeros
+    (b"P6 2 1 255\n" + bytes(7), (1, 2, 3)),            # trailing bytes ignored
+]
+
+# what a header is made of, for drawing near-valid files
+_PNM_TOKENS = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"0", b"1", b"2",
+               b"255", b"a", b"\x00", b"#x\n"]
+
+
+class TestPnmAgainstBytewiseReader:
+    @pytest.mark.parametrize("raw,expected", PNM_QUIRKS)
+    def test_quirks(self, tmp_path, raw, expected):
+        magic = b"P5" if raw.startswith(b"P5") else b"P6"
+        path = tmp_path / "q.pnm"
+        path.write_bytes(raw)
+        got, ref = _decode_both(path, magic)
+        if isinstance(expected, str):
+            assert got == ref and isinstance(got, str) and expected in got
+        else:
+            assert got.shape == ref.shape == expected and np.array_equal(got, ref)
+            assert got.flags.writeable
+
+    @given(magic=st.sampled_from([b"P6", b"P5"]),
+           tokens=st.lists(st.sampled_from(_PNM_TOKENS), max_size=14),
+           rest=st.binary(max_size=40))
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_outcome_as_bytewise_reader(self, tmp_path, magic, tokens, rest):
+        path = tmp_path / "fuzz.pnm"
+        path.write_bytes(magic + b"".join(tokens) + rest)
+        got, ref = _decode_both(path, magic)
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+            assert got.flags.writeable
+
+    @given(h=st.integers(1, 6), w=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_writers_write_the_fixed_header(self, tmp_path, h, w, seed):
+        rng = np.random.default_rng(seed)
+        rgb = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+        gray = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        I.write_ppm(tmp_path / "a.ppm", rgb)
+        I.write_pgm(str(tmp_path / "a.pgm"), gray)
+        header = b"\n%d %d\n255\n" % (w, h)
+        assert (tmp_path / "a.ppm").read_bytes() == b"P6" + header + rgb.tobytes()
+        assert (tmp_path / "a.pgm").read_bytes() == b"P5" + header + gray.tobytes()
+
+    @pytest.mark.parametrize("pixels,write", [
+        (np.zeros((2, 2), np.uint8), I.write_ppm),
+        (np.zeros((2, 2, 4), np.uint8), I.write_ppm),
+        (np.zeros((2, 2, 3), np.float32), I.write_ppm),
+        (np.zeros((2, 2, 1), np.uint8), I.write_pgm),
+        (np.zeros(4, np.uint8), I.write_pgm),
+        (np.zeros((2, 2), np.int16), I.write_pgm)])
+    def test_writers_reject_other_layouts(self, tmp_path, pixels, write):
+        with pytest.raises(ValueError, match="expects uint8"):
+            write(tmp_path / "bad.pnm", pixels)
+        assert not (tmp_path / "bad.pnm").exists()
+
+    @pytest.mark.parametrize("name", ["x.ppm", "X.PPM", "10.ppm", "9.png", "..ppm",
+                                      "a.b.ppm", ".ppm", "noext", "img.", "img.ppm.txt",
+                                      "a.PNG", "x.pgm"])
+    def test_read_image_takes_the_names_scan_dataset_takes(self, tmp_path, monkeypatch,
+                                                            name):
+        (tmp_path / "d.ppm").mkdir()  # a dotted directory does not make a suffix
+        img = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
+        I.write_ppm(tmp_path / "d.ppm" / name, img)
+        try:
+            D.scan_dataset(tmp_path)
+            accepted = True
+        except I.ImageFormatError:
+            accepted = False
+        monkeypatch.setattr(I, "_PILImage", None)
+        for path in (tmp_path / "d.ppm" / name, f"{tmp_path}/d.ppm/{name}"):
+            if not accepted:
+                with pytest.raises(I.ImageFormatError, match="unsupported image format"):
+                    I.read_image(path)
+            elif name.lower().endswith(".png"):
+                with pytest.raises(I.ImageFormatError, match="requires Pillow"):
+                    I.read_image(path)
+            else:
+                assert np.array_equal(I.read_image(path), img)
 
 
 class TestTransforms:
