@@ -79,7 +79,7 @@ class PeftModel:
 
 
 def init_adapter(d: int, k: int, r: int, alpha: float, dropout_p: float,
-                 seed: int, target: str = "") -> LoraAdapter:
+                 seed: int | np.random.SeedSequence, target: str = "") -> LoraAdapter:
     """A fresh adapter for a [d, k] weight: A ~ U(-sqrt(6/k), sqrt(6/k)),
     B = 0, so the delta starts at exactly zero."""
     _check_adapter(d, k, r, dropout_p)
@@ -155,7 +155,7 @@ def inject(model: Model, targets: tuple[str, ...] = DEFAULT_TARGETS,
     for (name, (d, k)), child in zip(sorted(matched.items()),
                                      seed_seq.spawn(len(matched))):
         adapters[name] = init_adapter(d, k, r, alpha, dropout_p,
-                                      seed=child.entropy, target=name)
+                                      seed=child, target=name)
     return PeftModel(base=_task_base(model, seed, num_classes), adapters=adapters)
 
 

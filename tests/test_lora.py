@@ -1,5 +1,6 @@
 """Tests for adapter construction, injection, merging, and freeze discipline."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -222,6 +223,17 @@ class TestInject:
             inject(model, targets=targets, r=r, alpha=4.0, dropout_p=0.0)
         with pytest.raises(ValueError):
             adapter_param_count(model.config, r=r, targets=targets)
+
+    def test_every_adapter_starts_from_its_own_a(self):
+        # two blocks per stage, so every stage has same-shape layers
+        model = build_model(dataclasses.replace(tiny_test_config(), depths=(2, 2, 2, 2)),
+                            seed=0)
+        first, again = (inject(model, r=2, alpha=4.0, dropout_p=0.0, seed=3)
+                        for _ in range(2))
+        a = [ad.A.data.tobytes() for ad in first.adapters.values()]
+        assert len(a) == 16 and len(set(a)) == 16
+        for name, ad in first.adapters.items():
+            assert np.array_equal(ad.A.data, again.adapters[name].A.data)
 
     def test_count_params_walk_vs_closed_form(self):
         cfg = tiny_test_config()
