@@ -180,7 +180,8 @@ def _lora_settings(cfg: dict, config: ModelConfig) -> dict:
     the layers of ``config``."""
     lc = cfg["lora"]
     try:
-        adapted_layers(config, tuple(lc["targets"]), lc["rank"], lc["dropout"])
+        adapted_layers(config, tuple(lc["targets"]), lc["rank"], lc["dropout"],
+                       lc["alpha"])
     except ValueError as e:
         raise ConfigError(f"invalid lora config: {e}") from e
     return {"targets": tuple(lc["targets"]), "r": lc["rank"],
@@ -488,8 +489,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, persist.CheckpointError,
-            images.ImageFormatError) as e:
+    except (OSError, persist.CheckpointError, images.ImageFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (TrainingDiverged, NumericsError) as e:

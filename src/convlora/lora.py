@@ -17,6 +17,7 @@ source model's arrays, so any number of adapted models hold one base;
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -82,7 +83,7 @@ def init_adapter(d: int, k: int, r: int, alpha: float, dropout_p: float,
                  seed: int | np.random.SeedSequence, target: str = "") -> LoraAdapter:
     """A fresh adapter for a [d, k] weight: A ~ U(-sqrt(6/k), sqrt(6/k)),
     B = 0, so the delta starts at exactly zero."""
-    _check_adapter(d, k, r, dropout_p)
+    _check_adapter(d, k, r, alpha, dropout_p)
     rng = np.random.default_rng(seed)
     bound = math.sqrt(6.0 / k)
     a = rng.uniform(-bound, bound, size=(r, k)).astype(np.float32)
@@ -93,26 +94,31 @@ def init_adapter(d: int, k: int, r: int, alpha: float, dropout_p: float,
                        target=target)
 
 
-def _check_adapter(d: int, k: int, r: int, dropout_p: float) -> None:
+def _check_adapter(d: int, k: int, r: int, alpha: float, dropout_p: float) -> None:
     if r < 1:
         raise ValueError("adapter rank must be >= 1")
     if r > min(d, k):
         raise ValueError(f"adapter rank {r} exceeds min(d, k) = {min(d, k)}")
     if not 0.0 <= dropout_p < 1.0:
         raise ValueError("dropout_p must be in [0, 1)")
+    # a comparison, not math.isfinite, which overflows on a huge int
+    if not abs(alpha) <= sys.float_info.max:
+        raise ValueError("adapter alpha must be finite")
 
 
 def adapted_layers(config: ModelConfig, targets: tuple[str, ...], r: int,
-                   dropout_p: float = 0.0) -> dict[str, tuple[int, int]]:
+                   dropout_p: float = 0.0,
+                   alpha: float = 1.0) -> dict[str, tuple[int, int]]:
     """(d, k) of every block projection layer whose short name is in
     ``targets``, by name. Raises ValueError for the settings ``inject``
-    rejects: no matching layer, or a rank or dropout out of range."""
+    rejects: no matching layer, a rank or dropout out of range, or a
+    non-finite alpha."""
     matched = {name: dk for name, dk in backbone.linear_layer_shapes(config).items()
                if name.rsplit(".", 1)[-1] in targets}
     if not matched:
         raise ValueError(f"no linear layers match targets {tuple(targets)!r}")
     for d, k in matched.values():
-        _check_adapter(d, k, r, dropout_p)
+        _check_adapter(d, k, r, alpha, dropout_p)
     return matched
 
 
@@ -149,7 +155,7 @@ def inject(model: Model, targets: tuple[str, ...] = DEFAULT_TARGETS,
     The input model is not modified: the returned PeftModel shares its frozen
     tensors read-only and copies only what trains, the head.
     """
-    matched = adapted_layers(model.config, targets, r, dropout_p)
+    matched = adapted_layers(model.config, targets, r, dropout_p, alpha)
     adapters: dict[str, LoraAdapter] = {}
     seed_seq = np.random.SeedSequence(seed)
     for (name, (d, k)), child in zip(sorted(matched.items()),

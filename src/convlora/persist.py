@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,13 +107,18 @@ def save(obj, path: str | Path) -> None:
 
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        f.write(MAGIC)
-        f.write(np.uint32(len(header_bytes)).tobytes())
-        f.write(header_bytes)
-        for arr in arrays:
-            f.write(arr)
-    os.replace(tmp, path)
+    f = open(tmp, "wb")
+    try:
+        with f:
+            f.write(MAGIC)
+            f.write(np.uint32(len(header_bytes)).tobytes())
+            f.write(header_bytes)
+            for arr in arrays:
+                f.write(arr)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 @dataclass
@@ -185,11 +191,12 @@ def _read_header(path, header_bytes: bytes) -> tuple[dict, ModelConfig, list[dic
     if lora is not None:
         if not (_typed(lora, dict) and _typed(lora.get("rank"), int) and lora["rank"] >= 1
                 and _typed(lora.get("alpha"), int, float)
+                and abs(lora["alpha"]) <= sys.float_info.max
                 and _typed(lora.get("dropout_p"), int, float) and 0 <= lora["dropout_p"] < 1
                 and _typed(lora.get("targets"), list)):
             raise CheckpointError(f"{path}: header field 'lora' needs an int rank >= 1, "
-                                  f"a numeric alpha, a dropout_p in [0, 1) and a list "
-                                  f"of targets")
+                                  f"a finite numeric alpha, a dropout_p in [0, 1) "
+                                  f"and a list of targets")
         layers = linear_layer_shapes(config)
         for target in lora["targets"]:
             if not _typed(target, str) or target not in layers:
@@ -237,6 +244,11 @@ def load(path: str | Path):
         if on_disk > nbytes:
             raise CheckpointError(f"{path}: {on_disk - nbytes} trailing bytes "
                                   f"after the payload")
+        # before the allocation, which a consistent but huge header could
+        # make fail; readinto checks again, because the file can still change
+        if on_disk < nbytes:
+            raise CheckpointError(f"{path}: truncated payload "
+                                  f"({on_disk} of {nbytes} bytes)")
         payload = np.empty(nbytes // 4, dtype="<f4")
         got = f.readinto(payload)
         if got != nbytes:

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_persist import LAYOUT_BREAKS, _edit_header, _rename, _swap_names
+from test_persist import (LAYOUT_BREAKS, _edit_header, _huge_rank, _rename,
+                          _swap_names)
 
 from convlora import images as I
 from convlora import backbone, cli, persist
@@ -445,6 +446,42 @@ def test_swapped_tensor_names_exit_2_with_one_line(trained, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+def test_huge_adapter_layout_exits_2_with_one_line(trained, tmp_path, capsys):
+    path = tmp_path / "adapter.ckpt"
+    shutil.copy(trained["adapter"], path)
+    _edit_header(path, _huge_rank)
+    capsys.readouterr()
+    assert run(["params", "--checkpoint", str(path), "--base", str(trained["base"])]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def _os_error_argv(case, dataset, trained, tmp_path):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_bytes(b"")
+    if case == "checkpoint-is-a-directory":
+        return ["params", "--checkpoint", str(tmp_path / "dir")]
+    if case == "synth-under-a-file":
+        return ["synth", "--out", str(tmp_path / "file" / "x"), "--classes", "2",
+                "--per-class", "1", "--image-size", "8"]
+    if case == "output-dir-is-a-file":
+        return _toy_train_args(dataset, tmp_path / "file",
+                               ["--lora.enabled", "false", "--train.max_epochs", "1"])
+    return ["merge", "--base", str(trained["base"]), "--adapter", str(trained["adapter"]),
+            "--out", str(tmp_path / "dir")]
+
+
+@pytest.mark.parametrize("case", ["checkpoint-is-a-directory", "synth-under-a-file",
+                                  "output-dir-is-a-file", "merge-onto-a-directory"])
+def test_os_errors_exit_2_with_one_line(case, dataset, trained, tmp_path, capsys):
+    argv = _os_error_argv(case, dataset, trained, tmp_path)
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+
+
 # (command, extra flags); "config" runs params with the object as the config
 # file, train runs also get _toy_train_args and saliency runs the trained
 # 3-class base on one dataset image, so each fails on the one setting named here
@@ -456,6 +493,8 @@ MALFORMED = [
     pytest.param("params", ["--lora.rank", "0"], id="params-rank-0"),
     pytest.param("params", ["--lora.targets", "foo"], id="params-no-target"),
     pytest.param("params", ["--lora.dropout", "1.5"], id="params-dropout"),
+    pytest.param("params", ["--lora.alpha", "nan"], id="params-alpha-nan"),
+    pytest.param("params", ["--lora.alpha", "inf"], id="params-alpha-inf"),
     pytest.param("params", TINY_MODEL, id="params-rank-over-tiny-dims"),
     pytest.param("params", ["--train.eps", "0"], id="eps-zero"),
     pytest.param("params", ["--train.weight_decay", "-0.1"], id="decay-negative"),
@@ -505,6 +544,11 @@ MALFORMED = [
     pytest.param("params", ["--augment.rotation_max_deg", "inf"], id="params-rotation-inf"),
     pytest.param("saliency", ["--class-idx", "7"], id="class-idx-above"),
     pytest.param("saliency", ["--class-idx", "-1"], id="class-idx-negative"),
+    pytest.param("train", ["--lora.rank", "2", "--lora.alpha", "nan"],
+                 id="train-alpha-nan"),
+    pytest.param("train", ["--lora.rank", "2", "--lora.alpha", "inf"],
+                 id="train-alpha-inf"),
+    pytest.param("config", {"lora": {"alpha": 10**400}}, id="json-alpha-huge-int"),
 ]
 
 

@@ -235,6 +235,14 @@ class TestInject:
         for name, ad in first.adapters.items():
             assert np.array_equal(ad.A.data, again.adapters[name].A.data)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"),
+                                       pytest.param(10**400, id="int-beyond-float")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            init_adapter(8, 8, 2, alpha, 0.0, seed=0)
+        with pytest.raises(ValueError, match="alpha"):
+            inject(build_model(tiny_test_config(), seed=0), r=2, alpha=alpha)
+
     def test_count_params_walk_vs_closed_form(self):
         cfg = tiny_test_config()
         model = build_model(cfg, seed=0)

@@ -288,6 +288,15 @@ def _set_lora(key, value):
     return edit
 
 
+def _huge_rank(header):
+    """An adapter header that is consistent with itself, for a rank far too
+    large for the file (and for memory)."""
+    header["lora"]["rank"] = 10**13
+    config = ModelConfig.from_dict(header["model_config"])
+    header["tensors"] = persist._layout("adapter", config, header["lora"])
+    header["payload_nbytes"] = sum(4 * math.prod(e["shape"]) for e in header["tensors"])
+
+
 @pytest.fixture
 def checkpoints(toy_model, tmp_path):
     peft = inject(toy_model, r=2, alpha=4.0, dropout_p=0.1, seed=1)
@@ -339,10 +348,17 @@ class TestHeaderValidation:
         _set("lora", "r2"), _set_lora("rank", "2"), _set_lora("rank", True),
         _set_lora("rank", 0), _set_lora("alpha", None), _set_lora("dropout_p", 1.0),
         _set_lora("targets", "fc1"), _set_lora("targets", [7]),
+        _set_lora("alpha", float("nan")), _set_lora("alpha", float("inf")),
+        _set_lora("alpha", 10**400),
     ])
     def test_ill_typed_adapter_settings(self, checkpoints, edit):
         _edit_header(checkpoints["adapter"], edit)
         with pytest.raises(CheckpointError):
+            persist.load(checkpoints["adapter"])
+
+    def test_a_huge_layout_fails_before_allocating(self, checkpoints):
+        _edit_header(checkpoints["adapter"], _huge_rank)
+        with pytest.raises(CheckpointError, match="truncated payload"):
             persist.load(checkpoints["adapter"])
 
     def test_header_edits_that_keep_it_consistent_still_load(self, checkpoints, toy_model):
@@ -483,6 +499,12 @@ class TestLayout:
         path.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw + payload)
         with pytest.raises(CheckpointError, match="distinct"):
             persist.load(path)
+
+    def test_a_failed_save_leaves_no_temp_file(self, toy_model, tmp_path):
+        (tmp_path / "m.ckpt").mkdir()
+        with pytest.raises(IsADirectoryError):
+            persist.save(toy_model, tmp_path / "m.ckpt")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     @pytest.mark.parametrize("kind", ["base", "adapter"])
     def test_save_rejects_a_wrongly_shaped_array(self, toy_model, tmp_path, kind):
