@@ -26,10 +26,9 @@ class ImageFormatError(ValueError):
     """The file is not a supported or well-formed image."""
 
 
-# one header field: whitespace and comments (a '#' where a field would start,
-# up to the newline), then a run of non-whitespace, empty only at end of file
-_PNM_FIELD = rb"(?:\s|#[^\n]*)*(\S*)"
-_PNM_HEADER = re.compile(3 * _PNM_FIELD)
+# three header fields, each whitespace and comments ('#' where a field would
+# start, to the newline), then non-whitespace, empty only at the end of file
+_PNM_HEADER = re.compile(3 * rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 def _read_pnm(path: str | os.PathLike, magic: bytes, channels: int) -> np.ndarray:

@@ -465,8 +465,7 @@ def _os_error_argv(case, dataset, trained, tmp_path):
         return ["synth", "--out", str(tmp_path / "file" / "x"), "--classes", "2",
                 "--per-class", "1", "--image-size", "8"]
     if case == "output-dir-is-a-file":
-        return _toy_train_args(dataset, tmp_path / "file",
-                               ["--lora.enabled", "false", "--train.max_epochs", "1"])
+        return _toy_train_args(dataset, tmp_path / "file", ["--lora.rank", "2"])
     return ["merge", "--base", str(trained["base"]), "--adapter", str(trained["adapter"]),
             "--out", str(tmp_path / "dir")]
 
