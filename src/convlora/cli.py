@@ -325,7 +325,8 @@ def cmd_eval(args) -> int:
 
 def cmd_cross_eval(args) -> int:
     models = _load_models_for_eval(args.checkpoint, args.base)
-    datasets = [_split_dataset(d, [args.split], seed=args.split_seed)
+    datasets = [_split_dataset(d, [args.split], seed=args.split_seed,
+                               by_group=args.by_group)
                 for d in args.data]
     names = [Path(d).name for d in args.data]
     matrix = cross_eval(models, datasets, split_name=args.split)
@@ -410,6 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "cross-domain matrices, adapter merging, saliency maps.")
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
+    by_group = ("keep each group of groups.tsv inside one split, as training "
+                "with data.by_group does")
 
     p = sub.add_parser("synth", formatter_class=fmt,
                        help="generate a synthetic folder-per-class dataset")
@@ -439,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset root")
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
     p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--by-group", action="store_true")
+    p.add_argument("--by-group", action="store_true", help=by_group)
     p.add_argument("--out", default=None, help="metrics TSV path")
     p.set_defaults(func=cmd_eval)
 
@@ -452,6 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeatable; column order")
     p.add_argument("--split", default="test")
     p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--by-group", action="store_true", help=by_group)
     p.add_argument("--out", default=None, help="matrix TSV path")
     p.set_defaults(func=cmd_cross_eval)
 

@@ -16,7 +16,7 @@ from test_persist import (LAYOUT_BREAKS, _edit_header, _huge_rank, _rename,
                           _swap_names)
 
 from convlora import images as I
-from convlora import backbone, cli, persist
+from convlora import backbone, cli, data, persist
 from convlora.data import AugmentConfig
 from convlora.tensor import Tensor
 from convlora.cli import main
@@ -229,6 +229,33 @@ class TestCrossEval:
         cell = float(out.read_text().splitlines()[1].split("\t")[1])
         assert 0.0 <= cell <= 100.0
 
+
+    def test_by_group_scores_the_group_atomic_split(self, dataset, trained, tmp_path,
+                                                     monkeypatch, capsys):
+        root = tmp_path / "grouped"
+        shutil.copytree(dataset, root)
+        frames = sorted(p.relative_to(root).as_posix() for p in root.rglob("*.ppm"))
+        (root / "groups.tsv").write_text(
+            "".join(f"{f}\tclip{i // 4}\n" for i, f in enumerate(frames)))
+        manifests = []
+        real_cross_eval = cli.cross_eval
+        monkeypatch.setattr(cli, "cross_eval", lambda ms, ds, **k:
+                            manifests.extend(ds) or real_cross_eval(ms, ds, **k))
+        argv = ["cross-eval", "--checkpoint", str(trained["base"]), "--data", str(root)]
+        # a stratified split puts frames of one clip into several partitions
+        assert run(argv) == 2
+        assert "groups split across partitions" in capsys.readouterr().err
+        assert run(argv + ["--by-group", "--out", str(tmp_path / "m.tsv")]) == 0
+        [grouped] = manifests
+        want = data.split(data.scan_dataset(root), seed=0, by_group=True)
+        assert [s.split for s in grouped.samples] == [s.split for s in want.samples]
+
+        assert run(["eval", "--checkpoint", str(trained["base"]), "--data", str(root),
+                    "--by-group", "--out", str(tmp_path / "e.tsv")]) == 0
+        summary = (tmp_path / "e.tsv").read_text().split("\n\n")[0]
+        metrics = dict(line.split("\t") for line in summary.splitlines()[1:])
+        cell = float((tmp_path / "m.tsv").read_text().splitlines()[1].split("\t")[1])
+        assert cell == pytest.approx(100.0 * float(metrics["accuracy"]), abs=0.005)
 
     def test_adapters_share_one_base(self, dataset, trained, tmp_path, monkeypatch):
         second = tmp_path / "second"
