@@ -18,6 +18,8 @@ digest:
 - ``grads32``, ``grads96``: every trainable gradient of one base-config
   LoRA r=16 train step (fc1/fc2, dropout 0.1) at 32 px, batch 4, and at
   96 px, batch 2;
+- ``saliency``: ``backbone.saliency`` maps of a tiny Model and of a tiny
+  PeftModel (r=4, with a nonzero B), explaining the top class and class 2;
 - ``pixels``: ``load_batch`` outputs from 32-px sources in train and eval
   mode, with flips and rotations (up to 15 and 180 degrees) on and off, at
   ``resize`` 32, 24 and 48.
@@ -78,6 +80,18 @@ def _grads_digest(size: int, batch: int) -> str:
                   for name in sorted(params)))
 
 
+def _saliency_digest() -> str:
+    model = backbone.build_model(backbone.tiny_test_config(CLASSES), seed=0)
+    peft = lora.inject(model, r=4, alpha=8.0, seed=1)
+    rng = np.random.default_rng(5)
+    for ad in peft.adapters.values():
+        ad.B.data[:] = rng.normal(scale=0.1, size=ad.B.shape)
+    image = rng.normal(size=(3, 32, 32)).astype(np.float32)
+    adapted = lambda x: lora.model_forward(peft, x)
+    return _sha(*(backbone.saliency(m, image, c).tobytes()
+                  for m in (model, adapted) for c in (None, 2)))
+
+
 def _pixels_digest(root: Path) -> str:
     manifest = data.split(data.synth_domain(root, CLASSES, 8, seed=1), (1.0, 0.0, 0.0))
     idx = manifest.indices_for("train")
@@ -120,6 +134,7 @@ def main() -> None:
 
     print("grads32", _grads_digest(32, 4))
     print("grads96", _grads_digest(96, 2))
+    print("saliency", _saliency_digest())
     with tempfile.TemporaryDirectory() as tmp:
         print("pixels ", _pixels_digest(Path(tmp)))
 
