@@ -125,14 +125,21 @@ def adapted_layers(config: ModelConfig, targets: tuple[str, ...], r: int,
 def adapted_linear(x: Tensor, w: Tensor, b: Tensor, adapter: LoraAdapter,
                    train_mode: bool = False,
                    rng: np.random.Generator | None = None) -> Tensor:
-    """Frozen base projection plus the scaled low-rank delta path.
+    """Frozen base projection plus the scaled low-rank delta path, as one
+    tape op (``tensor.lora_linear``).
 
-    Dropout applies to the delta path's input only, and only in train mode.
+    Inverted dropout applies to the delta path's input only, and only in
+    train mode, where its keep-mask is drawn from ``rng``.
     """
-    base = T.linear(x, w, b)
-    h = T.dropout(x, adapter.dropout_p, rng=rng, train=train_mode)
-    delta = T.linear(T.linear(h, adapter.A), adapter.B)
-    return T.add(base, T.scale(delta, adapter.scaling))
+    p = adapter.dropout_p
+    if not 0.0 <= p < 1.0:
+        raise ValueError("dropout: p must be in [0, 1)")
+    keep = None
+    if train_mode and p != 0.0:
+        if rng is None:
+            raise ValueError("dropout: train mode needs an explicit rng for determinism")
+        keep = rng.random(x.shape) >= p
+    return T.lora_linear(x, w, b, adapter.A, adapter.B, adapter.scaling, keep, p)
 
 
 def merge(w: np.ndarray, adapter: LoraAdapter) -> np.ndarray:

@@ -9,7 +9,12 @@ VJP, and the arrays only that VJP needs, are dropped as soon as the op
 returns. Whether an input requires grad is read when the op is recorded:
 changing the flag afterwards does not change a tape already built.
 ``Tensor.backward`` walks the tape once, in reverse execution order,
-accumulating gradients additively into every tensor on it.
+accumulating gradients additively into the leaves, and consumes it as it
+goes: once an intermediate tensor's VJPs have run, its ``grad`` is set back
+to None and its edges are dropped, so the arrays they held are freed before
+the walk ends. Only leaves keep a ``grad``, and a graph can be walked
+backwards once; a second walk that reaches a consumed tensor raises
+ValueError.
 
 float32 is the working precision. Gradient checking against central finite
 differences is unreliable in float32, so ``grad_check`` requires float64
@@ -71,8 +76,9 @@ class Tensor:
         self.data = _as_float_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
+        # both None once ``backward`` has consumed the tensor
+        self._parents: tuple[Tensor, ...] | None = ()
+        self._vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -101,15 +107,24 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a C-contiguous buffer of its own, since a VJP may return a view
+            # (transpose) or hand one array to several inputs (add); adding
+            # g to 0.0 gives the bits a zero-filled sum would (-0.0 -> 0.0)
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data, order="C"))
+        else:
+            self.grad += g
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Run the tape backwards from this tensor.
+        """Run the tape backwards from this tensor, consuming it.
 
         Each recorded operation is visited exactly once, in reverse execution
         order; a tensor feeding several consumers receives the sum of their
-        contributions.
+        contributions. Leaves keep their accumulated ``grad``. Every other
+        tensor on the tape is freed as soon as its VJPs have run: its
+        ``grad`` is set back to None and its edges are dropped, so the walk
+        never holds more than the forward's tape. A graph can therefore be
+        walked backwards once: a second ``backward`` that reaches a consumed
+        tensor raises ValueError before touching any gradient.
         """
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that does not require grad")
@@ -127,15 +142,21 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise ValueError("backward() reached a graph that was already walked "
+                                 "backwards; run the forward again")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.asarray(grad, dtype=self.data.dtype))
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             for parent, vjp in zip(node._parents, node._vjps):
                 parent._accumulate(vjp(node.grad))
+            if node._parents:
+                node.grad = node._parents = node._vjps = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -216,6 +237,66 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     return _node(y, "linear", (x, w, b),
                  (vjp_x, vjp_w, lambda g: g.reshape(-1, d).sum(axis=0)))
+
+
+def lora_linear(x: Tensor, w: Tensor, b: Tensor | None, A: Tensor, B: Tensor,
+                scaling: float, keep: np.ndarray | None = None,
+                p: float = 0.0) -> Tensor:
+    """A linear layer plus its low-rank adapter, as one op:
+    ``linear(x, w, b) + scaling * (h A^T) B^T``, with A [r, k] and B [d, r].
+
+    h is x under inverted dropout, ``x * keep / (1 - p)`` for a boolean
+    ``keep`` mask of x's shape, or x itself when ``keep`` is None. The op
+    runs the float operations of the chain linear, dropout, linear (A),
+    linear (B), scale, add in the same order, so its output and gradients
+    have that chain's bits, but it keeps only ``keep`` and ``u = h A^T``
+    ([M, r]) besides its inputs and output: h is rebuilt for A's gradient.
+    """
+    if w.data.ndim != 2:
+        raise ShapeError(f"lora_linear: weight must be 2-D, got {w.shape}")
+    d, k = w.shape
+    if x.shape[-1] != k:
+        raise ShapeError(f"lora_linear: x has {x.shape[-1]} features, weight expects {k}")
+    if b is not None and b.shape != (d,):
+        raise ShapeError(f"lora_linear: bias shape {b.shape} does not match ({d},)")
+    if A.data.ndim != 2 or A.shape[1] != k or B.shape != (d, A.shape[0]):
+        raise ShapeError(f"lora_linear: A {A.shape} and B {B.shape} do not fit "
+                         f"a ({d}, {k}) weight")
+    if keep is not None and keep.shape != x.shape:
+        raise ShapeError(f"lora_linear: keep mask {keep.shape} does not match x {x.shape}")
+    s = float(scaling)
+    dtype = x.data.dtype
+
+    def dropped(a):
+        # rows of x's shape under the dropout mask, as the forward applied it
+        if keep is None:
+            return a
+        return a * (keep.reshape(-1, k).astype(dtype) / (1.0 - p))
+
+    rows = x.data.reshape(-1, k)
+    y = rows @ w.data.T
+    if b is not None:
+        y += b.data
+    u = dropped(rows) @ A.data.T
+    delta = u @ B.data.T
+    delta *= s
+    y += delta
+
+    def vjp_x(g):
+        g = g.reshape(-1, d)
+        return (g @ w.data + dropped((g * s) @ B.data @ A.data)).reshape(x.shape)
+
+    def vjp_a(g):
+        return ((g.reshape(-1, d) * s) @ B.data).T @ dropped(rows)
+
+    def vjp_b(g):
+        return (g.reshape(-1, d) * s).T @ u
+
+    return _node(y.reshape(*x.shape[:-1], d), "lora_linear", (x, w, b, A, B),
+                 (vjp_x,
+                  lambda g: g.reshape(-1, d).T @ rows,
+                  lambda g: g.reshape(-1, d).sum(axis=0),
+                  vjp_a, vjp_b))
 
 
 def _windows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -552,19 +633,6 @@ def tsum(x: Tensor) -> Tensor:
         return np.broadcast_to(np.asarray(g, dtype=x.dtype), x.shape).copy()
 
     return _node(np.asarray(x.data.sum(), dtype=x.dtype), "tsum", (x,), (vjp,))
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None,
-            train: bool = False) -> Tensor:
-    """Inverted dropout: active only in train mode, identity otherwise."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError("dropout: p must be in [0, 1)")
-    if not train or p == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("dropout: train mode needs an explicit rng for determinism")
-    mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    return _node(x.data * mask, "dropout", (x,), (lambda g: g * mask,))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

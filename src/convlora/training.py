@@ -169,8 +169,8 @@ def train(model, manifest: DatasetManifest, cfg: TrainConfig,
             adamw_step(params, {n: p.grad for n, p in params.items()},
                        state, t_step, cfg)
             losses.append(loss.item())
-            # the graph (activations, intermediate gradients) dies here, not
-            # after the next batch has loaded and run its forward
+            # backward has freed the graph; the logits and loss die here too,
+            # not after the next batch has loaded and run its forward
             del logits, loss
 
         if val_metric_fn is not None:

@@ -158,6 +158,22 @@ def rotate_bilinear_per_image(img, degrees):
     return top * (1 - wy) + bot * wy
 
 
+def adapted_linear_chain(x, w, b, adapter, train_mode=False, rng=None):
+    """``lora.adapted_linear`` as the chain of six tape ops it was before
+    ``tensor.lora_linear``: linear, dropout, linear (A), linear (B), scale
+    and add. The reference the fused op must match bit for bit."""
+    from convlora import tensor as T
+
+    base = T.linear(x, w, b)
+    h = x
+    p = adapter.dropout_p
+    if train_mode and p != 0.0:
+        mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+        h = T._node(x.data * mask, "dropout", (x,), (lambda g: g * mask,))
+    delta = T.linear(T.linear(h, adapter.A), adapter.B)
+    return T.add(base, T.scale(delta, adapter.scaling))
+
+
 def load_batch_per_sample(manifest, split_name, indices, augment, train_mode,
                           seed, epoch=0):
     """Decode, resize, augment and normalize one sample at a time: the

@@ -58,6 +58,22 @@ class TestLinear:
         assert np.array_equal(lhs, rhs)
 
 
+class TestLoraLinear:
+    @pytest.mark.parametrize("a_shape, b_shape, keep_shape", [
+        ((2, 4), (3, 2), (5, 6)),      # A's features differ from x's
+        ((2, 6), (3, 3), (5, 6)),      # B's rank differs from A's
+        ((2, 6), (4, 2), (5, 6)),      # B's outputs differ from w's
+        ((6,), (3, 2), (5, 6)),        # A is not 2-D
+        ((2, 6), (3, 2), (6, 5)),      # keep does not cover x
+    ])
+    def test_shape_mismatch(self, a_shape, b_shape, keep_shape):
+        x, w = T.Tensor(np.ones((5, 6))), T.Tensor(np.ones((3, 6)))
+        with pytest.raises(T.ShapeError):
+            T.lora_linear(x, w, None, T.Tensor(np.ones(a_shape)),
+                          T.Tensor(np.ones(b_shape)), 1.0,
+                          np.ones(keep_shape, dtype=bool), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # conv2d
 # ---------------------------------------------------------------------------
@@ -496,12 +512,85 @@ class TestTape:
         assert x.grad is None
         assert w.grad is not None
 
+    def test_backward_frees_intermediates(self):
+        x = t64([[1.0, 2.0]])
+        h = T.scale(x, 2.0)
+        out = T.tsum(h)
+        out.backward()
+        assert h.grad is None and out.grad is None
+        np.testing.assert_allclose(x.grad, [[2.0, 2.0]])
+
+    def test_second_backward_raises(self):
+        x = t64([[1.0, 2.0]])
+        h = T.scale(x, 2.0)
+        first = T.tsum(h)
+        first.backward()
+        with pytest.raises(ValueError, match="already walked backwards"):
+            first.backward()
+        # a second loss that shares h, which the first walk consumed
+        second = T.tsum(T.scale(h, 3.0))
+        with pytest.raises(ValueError, match="already walked backwards"):
+            second.backward()
+        np.testing.assert_allclose(x.grad, [[2.0, 2.0]])
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_nonfinite_surfaced(self):
         big = T.Tensor(np.array([[1e30]], dtype=np.float32))
         w = T.Tensor(np.array([[1e30]], dtype=np.float32))
         with pytest.raises(T.NumericsError):
             T.linear(big, w)
+
+
+def _residual_graph():
+    # add hands one array to both of its inputs, both of them intermediates,
+    # and h gets a second contribution before w2's VJP reads its own gradient
+    rng = np.random.default_rng(0)
+    x = T.Tensor(rng.normal(size=(4, 16)).astype(np.float32), requires_grad=True)
+    w1, w2 = (T.Tensor(rng.normal(size=(16, 16)).astype(np.float32),
+                       requires_grad=True) for _ in range(2))
+    h = T.linear(x, w1)
+    loss = T.tsum(T.gelu(T.add(h, T.linear(h, w2))))
+    return [x, w1, w2], loss
+
+
+def _transpose_graph():
+    # transpose's VJP returns a strided view, which becomes the first
+    # contribution to a's gradient; layer_norm's VJP then reduces over it
+    rng = np.random.default_rng(1)
+    x = T.Tensor(rng.normal(size=(2, 16, 3, 16)).astype(np.float32), requires_grad=True)
+    gw, bw, gc, bc = (T.Tensor(rng.normal(size=16).astype(np.float32), requires_grad=True)
+                      for _ in range(4))
+    a = T.layer_norm(x, gw, bw)
+    loss = T.tsum(T.gelu(T.layer_norm(T.transpose(a, (0, 2, 3, 1)), gc, bc)))
+    return [x, gw, bw, gc, bc], loss
+
+
+def _zero_fill_accumulate(self, g):
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+class TestAccumulate:
+    """The first contribution to a gradient becomes it, in a buffer of its
+    own, with the bits of adding it to a zero-filled array."""
+
+    @pytest.mark.parametrize("graph", [_residual_graph, _transpose_graph],
+                             ids=["residual-add", "transpose"])
+    def test_bitwise_equal_to_zero_filled_sum(self, graph, monkeypatch):
+        def grads():
+            leaves, loss = graph()
+            loss.backward()
+            return [t.grad.tobytes() for t in leaves]
+
+        got = grads()
+        monkeypatch.setattr(T.Tensor, "_accumulate", _zero_fill_accumulate)
+        assert got == grads()
+
+    def test_negative_zero_becomes_zero(self):
+        x = t64([1.0, 2.0])
+        T.tsum(T.scale(x, -0.0)).backward()
+        assert not np.signbit(x.grad).any()
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +681,19 @@ class TestGradCheck:
             return T.tsum(T.gelu(T.depthwise_conv2d(a, c, d, pad=pad)))
 
         assert T.grad_check(f, [x, k, b]) < 1e-7
+
+    def test_lora_linear_with_dropout(self):
+        rng = np.random.default_rng(7)
+        x, w, b = (t64(rng.normal(size=s)) for s in ((6, 5), (4, 5), (4,)))
+        a, bb = t64(rng.normal(size=(2, 5))), t64(rng.normal(size=(4, 2)))
+        keep = rng.random(x.shape) >= 0.3
+        assert keep.any() and not keep.all()
+        labels = rng.integers(0, 4, size=6)
+
+        def f(*args):
+            return T.softmax_cross_entropy(T.lora_linear(*args, 1.5, keep, 0.3), labels)
+
+        assert T.grad_check(f, [x, w, b, a, bb]) < 1e-7
 
     def test_gelu_at_half(self):
         x = t64([0.5])
