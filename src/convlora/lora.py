@@ -144,10 +144,12 @@ def adapted_linear(x: Tensor, w: Tensor, b: Tensor, adapter: LoraAdapter,
 
 def merge(w: np.ndarray, adapter: LoraAdapter) -> np.ndarray:
     """W + (alpha / r) * B A, as a plain weight matrix."""
-    ba = adapter.B.data @ adapter.A.data
+    ba = (adapter.B.data @ adapter.A.data).astype(w.dtype, copy=False)
     if ba.shape != w.shape:
         raise T.ShapeError(f"merge: delta shape {ba.shape} does not match weight {w.shape}")
-    return w + adapter.scaling * ba.astype(w.dtype)
+    ba *= adapter.scaling
+    ba += w
+    return ba
 
 
 def inject(model: Model, targets: tuple[str, ...] = DEFAULT_TARGETS,

@@ -20,6 +20,10 @@ float32 is the working precision. Gradient checking against central finite
 differences is unreliable in float32, so ``grad_check`` requires float64
 inputs (build tensors with ``astype(np.float64)``).
 
+numpy is the only dependency. The one special function, the erf in
+``gelu``, is Cephes's erf written in numpy (``_erf``): on float32 it gives
+``scipy.special.erf``'s bits.
+
 Every operation validates that its output is finite; a NaN or Inf produced
 from finite inputs raises :class:`NumericsError` instead of propagating.
 """
@@ -31,7 +35,6 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 
 class ShapeError(ValueError):
@@ -44,6 +47,27 @@ class NumericsError(ArithmeticError):
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Cephes's erf (ndtr.c): x T(x^2) / U(x^2) for |x| <= 1, and
+# 1 - exp(-x^2) P(x) / Q(x) above; U and Q are monic (p1evl), their
+# leading 1 written out
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERF_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+          7.46321056442269912687E0, 4.86371970985681366614E1,
+          1.96520832956077098242E2, 5.26445194995477358631E2,
+          9.34528527171957607540E2, 1.02755188689515710272E3,
+          5.57535335369399327526E2)
+_ERF_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
+          3.54937778887819891062E2, 9.75708501743205489753E2,
+          1.82390916687909736289E3, 2.24633760818710981792E3,
+          1.65666309194161350182E3, 5.57535340817727675546E2)
+# elements per pass of ``_erf``, so that its float64 buffers stay in cache
+_ERF_CHUNK = 16384
 
 _grad_enabled = True
 
@@ -161,6 +185,58 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
+
+
+def _polevl(x: np.ndarray, coefs: tuple[float, ...], out: np.ndarray) -> np.ndarray:
+    # Cephes's polevl into out: acc = coefs[0], then acc = acc * x + c for
+    # each further coefficient, rounded step by step as the C code rounds
+    np.multiply(x, coefs[0], out=out)
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """The error function of a float array, in its dtype.
+
+    Cephes's ``erf``, the code behind ``scipy.special.erf``, evaluated in
+    float64 and rounded to the input's dtype, so float32 inputs get scipy's
+    bits. The array is processed ``_ERF_CHUNK`` elements at a time. The
+    small-argument form runs on every element of a chunk; it is odd, so it
+    needs no sign handling. The elements with |x| > 1 then get the
+    large-argument form on |x| clipped to 8, where it is exactly 1, and
+    their sign back. Overflow and NaN in the small form's discarded values
+    raise no warning; a NaN input gives NaN.
+    """
+    x = np.asarray(x)
+    flat = x.reshape(-1)
+    out = np.empty(x.shape, dtype=x.dtype)
+    out_flat = out.reshape(-1)
+    n = min(_ERF_CHUNK, flat.size)
+    xd, z, num, den = (np.empty(n) for _ in range(4))
+    big = np.empty(n, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, flat.size, _ERF_CHUNK):
+            m = min(_ERF_CHUNK, flat.size - start)
+            xs, zs, ys = xd[:m], z[:m], num[:m]
+            xs[...] = flat[start:start + m]
+            np.multiply(xs, xs, out=zs)
+            _polevl(zs, _ERF_T, ys)
+            ys *= xs
+            ys /= _polevl(zs, _ERF_U, den[:m])
+            # x*x > 1 exactly when |x| > 1
+            idx = np.flatnonzero(np.greater(zs, 1.0, out=big[:m]))
+            if idx.size:
+                xl = xs[idx]
+                a = np.minimum(np.abs(xl), 8.0)
+                e = np.exp(np.negative(a) * a)
+                e *= _polevl(a, _ERF_P, np.empty_like(a))
+                e /= _polevl(a, _ERF_Q, np.empty_like(a))
+                ys[idx] = np.copysign(np.subtract(1.0, e, out=e), xl)
+            out_flat[start:start + m] = ys
+    return out
 
 
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:
@@ -376,16 +452,19 @@ def _live_taps(size: int, ksz: int, pad: int) -> tuple[int, int]:
 
 def _pad_hw(a: np.ndarray, pads: tuple[int, int, int, int], axis: int = 2) -> np.ndarray:
     # zero-pad the spatial axes (axis, axis + 1) by (top, bottom, left,
-    # right); a negative amount crops. axis is 2 for NCHW, 1 for NHWC
+    # right) into a new C-contiguous array; a negative amount crops. axis
+    # is 2 for NCHW, 1 for NHWC
     top, bottom, left, right = pads
-    h, w = a.shape[axis:axis + 2]
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(max(0, -top), h - max(0, -bottom))
-    index[axis + 1] = slice(max(0, -left), w - max(0, -right))
-    widths = [(0, 0)] * a.ndim
-    widths[axis] = (max(0, top), max(0, bottom))
-    widths[axis + 1] = (max(0, left), max(0, right))
-    return np.pad(a[tuple(index)], widths)
+    src = [slice(None)] * a.ndim
+    dst = [slice(None)] * a.ndim
+    shape = list(a.shape)
+    for ax, lo, hi in ((axis, top, bottom), (axis + 1, left, right)):
+        src[ax] = slice(max(0, -lo), a.shape[ax] - max(0, -hi))
+        shape[ax] += lo + hi
+        dst[ax] = slice(max(0, lo), shape[ax] - max(0, hi))
+    out = np.zeros(shape, dtype=a.dtype)
+    out[tuple(dst)] = a[tuple(src)]
+    return out
 
 
 def _depthwise_plan(op: str, c: int, h: int, w: int, k: Tensor, b: Tensor | None,
@@ -448,15 +527,21 @@ def depthwise_conv2d(x: Tensor, k: Tensor, b: Tensor | None = None,
 
 def _shift_sum(src: np.ndarray, taps: np.ndarray, ho: int, wo: int) -> np.ndarray:
     # out[n, i, j, c] = sum over (p, q) of src[n, i + p, j + q, c] * taps[p, q, c]:
-    # one multiply-accumulate over the whole channel-last map per tap
-    out = src[:, :ho, :wo] * taps[0, 0]
+    # one multiply-accumulate over the whole map per tap, on src viewed as
+    # [N, Hp, Wp * C] rows with the tap's channel vector tiled wo times, so
+    # each row of the loop is wo * C contiguous values rather than C
+    n, hp, wp, c = src.shape
+    rows = src.reshape(n, hp, wp * c)
+    tiled = np.tile(taps, (1, 1, wo))
+    span = wo * c
+    out = rows[:, :ho, :span] * tiled[0, 0]
     tmp = np.empty_like(out)
     for p in range(taps.shape[0]):
         for q in range(taps.shape[1]):
             if p or q:
-                np.multiply(src[:, p:p + ho, q:q + wo], taps[p, q], out=tmp)
+                np.multiply(rows[:, p:p + ho, q * c:q * c + span], tiled[p, q], out=tmp)
                 out += tmp
-    return out
+    return out.reshape(n, ho, wo, c)
 
 
 def depthwise_conv2d_nhwc(x: Tensor, k: Tensor, b: Tensor | None = None,
@@ -573,10 +658,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian error linear unit, x * Phi(x) (erf form, no tanh approximation).
 
-    The Gaussian density the gradient needs is computed in the backward
-    pass only, so forward-only (no-grad) calls skip its ``exp``.
+    Phi comes from ``_erf``, which gives ``scipy.special.erf``'s bits on
+    float32 without importing scipy. The Gaussian density the gradient needs
+    is computed in the backward pass only, so forward-only (no-grad) calls
+    skip its ``exp``.
     """
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = 0.5 * (1.0 + _erf(x.data * _INV_SQRT2))
 
     def vjp(g):
         pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI

@@ -174,6 +174,31 @@ def adapted_linear_chain(x, w, b, adapter, train_mode=False, rng=None):
     return T.add(base, T.scale(delta, adapter.scaling))
 
 
+def shift_sum_per_pixel(src, taps, ho, wo):
+    """``tensor._shift_sum`` as it was before it viewed the map as flat
+    rows: each tap's multiply-accumulate runs over [N, ho, wo, C] with
+    loops C long. The reference the flat-row kernel must match bit for bit."""
+    out = src[:, :ho, :wo] * taps[0, 0]
+    tmp = np.empty_like(out)
+    for p in range(taps.shape[0]):
+        for q in range(taps.shape[1]):
+            if p or q:
+                np.multiply(src[:, p:p + ho, q:q + wo], taps[p, q], out=tmp)
+                out += tmp
+    return out
+
+
+def merge_with_temporaries(w, adapter):
+    """``lora.merge`` as it was before it worked in one buffer; the
+    reference the one-buffer merge must match bit for bit."""
+    from convlora import tensor as T
+
+    ba = adapter.B.data @ adapter.A.data
+    if ba.shape != w.shape:
+        raise T.ShapeError(f"merge: delta shape {ba.shape} does not match weight {w.shape}")
+    return w + adapter.scaling * ba.astype(w.dtype)
+
+
 def load_batch_per_sample(manifest, split_name, indices, augment, train_mode,
                           seed, epoch=0):
     """Decode, resize, augment and normalize one sample at a time: the

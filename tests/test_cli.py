@@ -651,6 +651,15 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0].startswith("total\t")
 
+    def test_imports_load_no_scipy(self):
+        code = ("import sys, convlora, convlora.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_huge_depth_exits_2_with_one_line(self):
         # used to build one list entry per parameter before printing
         proc = run_module("params", "--model.depths", "1,1,1000000,1")

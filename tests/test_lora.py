@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _oracles import adapted_linear_chain
+from _oracles import adapted_linear_chain, merge_with_temporaries
 
 from convlora import tensor as T
 from convlora.backbone import (ModelConfig, base_config, build_model, forward,
@@ -209,6 +209,24 @@ class TestMerge:
         ad.B.data[:] = rng.normal(size=ad.B.shape).astype(np.float32)
         back = merge(w, ad) - ad.scaling * (ad.B.data @ ad.A.data)
         np.testing.assert_allclose(back, w, atol=1e-6)
+
+    # channels of every block in the tiny (8-64) and base (128-1024)
+    # configs; fc1 is [4C, C] and fc2 [C, 4C]
+    @pytest.mark.parametrize("c", [8, 16, 32, 64, 128, 256, 512, 1024])
+    @pytest.mark.parametrize("fc", ["fc1", "fc2"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_merge_with_temporaries(self, c, fc, dtype):
+        d, k = (4 * c, c) if fc == "fc1" else (c, 4 * c)
+        rng = np.random.default_rng(c)
+        w = rng.normal(scale=0.02, size=(d, k)).astype(np.float32)
+        # the ranks the tiny and base runs use; alpha 10 makes the scaling
+        # 2.5 or 0.625, which, unlike a power of two, rounds when it multiplies
+        r = 4 if c < 128 else 16
+        ad = init_adapter(d, k, r, 10.0, 0.1, seed=c).astype(dtype)
+        ad.B.data[:] = rng.normal(scale=0.01, size=ad.B.shape)
+        merged = merge(w, ad)
+        assert merged.dtype == np.float32
+        assert np.array_equal(merged, merge_with_temporaries(w, ad))
 
     def test_shape_mismatch(self):
         ad = init_adapter(4, 4, 2, 4.0, 0.0, seed=5)

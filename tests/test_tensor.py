@@ -1,10 +1,11 @@
 """Unit tests for the array primitives and their gradients."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from _oracles import depthwise_conv2d_loops, depthwise_conv2d_vjps_loops
+from _oracles import depthwise_conv2d_loops, depthwise_conv2d_vjps_loops, shift_sum_per_pixel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -276,6 +277,38 @@ class TestDepthwiseConv2dNhwc:
         np.testing.assert_allclose(nchw(y._vjps[0](nhwc(g))), ref._vjps[0](g),
                                    rtol=0, atol=2e-6)
 
+    @pytest.mark.parametrize("n", [32, 4])
+    @pytest.mark.parametrize("c,hw", BLOCK_SHAPES)
+    def test_flat_rows_bitwise_equal_to_per_pixel_kernel(self, n, c, hw, monkeypatch):
+        rng = np.random.default_rng(c + hw + n)
+        x = rng.normal(size=(n, hw, hw, c)).astype(np.float32)
+        k = T.Tensor((0.1 * rng.normal(size=(c, 1, 7, 7))).astype(np.float32))
+        g = rng.normal(size=x.shape).astype(np.float32)
+        y = T.depthwise_conv2d_nhwc(T.Tensor(x, requires_grad=True), k, pad=3)
+        dx = y._vjps[0](g)
+        monkeypatch.setattr(T, "_shift_sum", shift_sum_per_pixel)
+        ref = T.depthwise_conv2d_nhwc(T.Tensor(x, requires_grad=True), k, pad=3)
+        assert np.array_equal(y.data, ref.data)
+        assert np.array_equal(dx, ref._vjps[0](g))
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    @pytest.mark.parametrize("pads", [(0, 0, 0, 0), (3, 3, 3, 3), (2, 0, 1, 3),
+                                      (-1, 2, 1, -2), (-2, -1, -1, -3)])
+    def test_pad_hw_equals_np_pad_of_the_crop(self, pads, axis):
+        a = np.arange(2 * 5 * 6 * 3, dtype=np.float32).reshape(2, 5, 6, 3)
+        if axis == 2:
+            a = a.transpose(0, 3, 1, 2)
+        top, bottom, left, right = pads
+        index = [slice(None)] * 4
+        index[axis] = slice(max(0, -top), a.shape[axis] - max(0, -bottom))
+        index[axis + 1] = slice(max(0, -left), a.shape[axis + 1] - max(0, -right))
+        widths = [(0, 0)] * 4
+        widths[axis] = (max(0, top), max(0, bottom))
+        widths[axis + 1] = (max(0, left), max(0, right))
+        out = T._pad_hw(a, pads, axis=axis)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, np.pad(a[tuple(index)], widths))
+
     @pytest.mark.parametrize("hw,ksz,pad", [(1, 7, 3), (2, 7, 3), (4, 7, 3),
                                             (5, 3, 0), (2, 3, 4)])
     def test_grad_check(self, hw, ksz, pad):
@@ -398,6 +431,70 @@ class TestGelu:
         cdf = 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
         pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         np.testing.assert_allclose(xt.grad, cdf + x * pdf, rtol=1e-12, atol=1e-15)
+
+
+FLT32 = np.finfo(np.float32)
+
+
+def _with_neighbours(*values):
+    # the float32 values and their neighbours on either side
+    v = np.array(values, dtype=np.float32)
+    return np.concatenate([np.nextafter(v, np.float32(-1.0)), v,
+                           np.nextafter(v, np.float32(np.inf))])
+
+
+class TestErf:
+    # float32 inputs where erf changes form or saturates: the smallest
+    # subnormal and normal, 1 and 8 (branch edges) and 3.9192059 (the first
+    # float32 whose erf rounds to 1), each with its neighbours; +-0, FLT_MAX,
+    # inf and NaN. The tests use them with both signs
+    EDGES = np.concatenate([
+        _with_neighbours(FLT32.smallest_subnormal, FLT32.smallest_normal, 1.0, 8.0,
+                         3.9192059),
+        np.array([0.0, -0.0, FLT32.max, np.inf, np.nan], dtype=np.float32)])
+
+    def test_float32_bits_equal_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        # about 2^22 bit patterns, evenly strided over all 2^32, and the edges
+        strided = np.arange(0, 2**32, 1021, dtype=np.uint64).astype(np.uint32)
+        x = np.concatenate([strided.view(np.float32), self.EDGES, -self.EDGES])
+        with np.errstate(all="ignore"):
+            ref = special.erf(x)
+        got = T._erf(x)
+        assert got.dtype == np.float32 and got.shape == x.shape
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint32), ref[~nan].view(np.uint32))
+
+    def test_first_float32_rounding_to_one(self):
+        below, first, _ = _with_neighbours(3.9192059)
+        assert T._erf(below) < 1.0 and T._erf(first) == 1.0
+
+    def test_float64_within_3_ulp_of_math_erf(self):
+        # Cephes's erf is up to 3 ulp from a correctly rounded one just
+        # below |x| = 1 (scipy.special.erf reads the same there)
+        x = np.concatenate([np.linspace(-9.0, 9.0, 40001),
+                            np.geomspace(1e-300, 8.0, 2001), [1.0, -1.0, 8.0, -8.0]])
+        ref = np.array([math.erf(v) for v in x])
+        got = T._erf(x.reshape(2, -1).T).T.reshape(-1)
+        assert got.dtype == np.float64
+        assert np.all(np.abs(got - ref) <= 3 * np.spacing(np.abs(ref)))
+
+    def test_signed_zero_and_nan(self):
+        got = T._erf(np.array([0.0, -0.0, np.nan]))
+        assert got[0] == 0.0 and not np.signbit(got[0])
+        assert got[1] == 0.0 and np.signbit(got[1])
+        assert np.isnan(got[2])
+
+    def test_no_float_warning_on_any_input(self):
+        signalling_nans = np.array([0x7F800001, 0xFFA00000], dtype=np.uint32).view(np.float32)
+        x32 = np.concatenate([self.EDGES, -self.EDGES, signalling_nans])
+        x64 = np.array([1e308, -1e308, 1e200, 5e-324, np.inf, -np.inf, np.nan, -0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            T._erf(x32)
+            T._erf(x64)
+            T.gelu(T.Tensor(np.array([1e30, -1e30, 3.0], dtype=np.float32)))
 
 
 class TestGrn:
