@@ -216,7 +216,6 @@ def _erf(x: np.ndarray) -> np.ndarray:
     out_flat = out.reshape(-1)
     n = min(_ERF_CHUNK, flat.size)
     xd, z, num, den = (np.empty(n) for _ in range(4))
-    big = np.empty(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, flat.size, _ERF_CHUNK):
             m = min(_ERF_CHUNK, flat.size - start)
@@ -227,14 +226,14 @@ def _erf(x: np.ndarray) -> np.ndarray:
             ys *= xs
             ys /= _polevl(zs, _ERF_U, den[:m])
             # x*x > 1 exactly when |x| > 1
-            idx = np.flatnonzero(np.greater(zs, 1.0, out=big[:m]))
+            idx = np.flatnonzero(zs > 1.0)
             if idx.size:
                 xl = xs[idx]
                 a = np.minimum(np.abs(xl), 8.0)
                 e = np.exp(np.negative(a) * a)
                 e *= _polevl(a, _ERF_P, np.empty_like(a))
                 e /= _polevl(a, _ERF_Q, np.empty_like(a))
-                ys[idx] = np.copysign(np.subtract(1.0, e, out=e), xl)
+                ys[idx] = np.copysign(1.0 - e, xl)
             out_flat[start:start + m] = ys
     return out
 
