@@ -249,10 +249,11 @@ class TestDepthwiseConv2dNhwc:
         dx, dk = depthwise_conv2d_vjps_loops(x, k, g, pad)
         np.testing.assert_allclose(nchw(xt.grad), dx, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(kt.grad, dk, rtol=1e-12, atol=1e-12)
-        # summed in the op's channel-last order: summing the NCHW copy rounds
-        # differently, which on a channel whose sum nearly cancels is more
-        # than 1e-12 relative
-        np.testing.assert_allclose(bt.grad, nhwc(g).sum(axis=(0, 1, 2)), rtol=1e-12)
+        # the op sums channel-last, in another order than this NCHW sum; the
+        # two differ by rounding bounded by eps * sum|g|, which on a channel
+        # whose sum nearly cancels is more than 1e-12 of the sum itself
+        np.testing.assert_allclose(bt.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12,
+                                   atol=1e-12 * np.abs(g).sum())
 
     @pytest.mark.parametrize("hw,live", [(1, slice(3, 4)), (2, slice(2, 5))])
     def test_kernel_gradient_exactly_zero_on_dead_taps(self, hw, live):
@@ -287,30 +288,14 @@ class TestDepthwiseConv2dNhwc:
         x = rng.normal(size=(n, hw, hw, c)).astype(np.float32)
         k = T.Tensor((0.1 * rng.normal(size=(c, 1, 7, 7))).astype(np.float32))
         g = rng.normal(size=x.shape).astype(np.float32)
+        # _shift_sum views the padded map as [N, Hp, Wp*C], which needs it contiguous
+        assert T._pad_hw(x, (3, 3, 3, 3), axis=1).flags.c_contiguous
         y = T.depthwise_conv2d_nhwc(T.Tensor(x, requires_grad=True), k, pad=3)
         dx = y._vjps[0](g)
         monkeypatch.setattr(T, "_shift_sum", shift_sum_per_pixel)
         ref = T.depthwise_conv2d_nhwc(T.Tensor(x, requires_grad=True), k, pad=3)
         assert np.array_equal(y.data, ref.data)
         assert np.array_equal(dx, ref._vjps[0](g))
-
-    @pytest.mark.parametrize("axis", [1, 2])
-    @pytest.mark.parametrize("pads", [(0, 0, 0, 0), (3, 3, 3, 3), (2, 0, 1, 3),
-                                      (-1, 2, 1, -2), (-2, -1, -1, -3)])
-    def test_pad_hw_equals_np_pad_of_the_crop(self, pads, axis):
-        a = np.arange(2 * 5 * 6 * 3, dtype=np.float32).reshape(2, 5, 6, 3)
-        if axis == 2:
-            a = a.transpose(0, 3, 1, 2)
-        top, bottom, left, right = pads
-        index = [slice(None)] * 4
-        index[axis] = slice(max(0, -top), a.shape[axis] - max(0, -bottom))
-        index[axis + 1] = slice(max(0, -left), a.shape[axis + 1] - max(0, -right))
-        widths = [(0, 0)] * 4
-        widths[axis] = (max(0, top), max(0, bottom))
-        widths[axis + 1] = (max(0, left), max(0, right))
-        out = T._pad_hw(a, pads, axis=axis)
-        assert out.flags.c_contiguous
-        assert np.array_equal(out, np.pad(a[tuple(index)], widths))
 
     @pytest.mark.parametrize("hw,ksz,pad", [(1, 7, 3), (2, 7, 3), (4, 7, 3),
                                             (5, 3, 0), (2, 3, 4)])
