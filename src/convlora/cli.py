@@ -227,6 +227,17 @@ def _load_models_for_eval(ckpt_paths: list[str], base_path: str | None) -> list:
     return models
 
 
+def _load_rgb_models(ckpt_paths: list[str], base_path: str | None) -> list:
+    """``_load_models_for_eval`` for the commands that feed the models
+    decoded images, which are RGB."""
+    models = _load_models_for_eval(ckpt_paths, base_path)
+    for path, model in zip(ckpt_paths, models):
+        if model.config.in_channels != 3:
+            raise CompatibilityError(f"{path} takes {model.config.in_channels}-channel "
+                                     f"images, but images are decoded as RGB (3 channels)")
+    return models
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -307,7 +318,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _load_models_for_eval([args.checkpoint], args.base)[0]
+    model = _load_rgb_models([args.checkpoint], args.base)[0]
     manifest = _split_dataset(args.data, [args.split], seed=args.split_seed,
                               by_group=args.by_group)
     # the report indexes predictions and labels by one vocabulary
@@ -324,7 +335,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cross_eval(args) -> int:
-    models = _load_models_for_eval(args.checkpoint, args.base)
+    models = _load_rgb_models(args.checkpoint, args.base)
     datasets = [_split_dataset(d, [args.split], seed=args.split_seed,
                                by_group=args.by_group)
                 for d in args.data]
@@ -353,7 +364,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_saliency(args) -> int:
-    model = _load_models_for_eval([args.checkpoint], args.base)[0]
+    model = _load_rgb_models([args.checkpoint], args.base)[0]
     raw = images.read_image(args.image).astype(np.float32)
     size = model.config.image_size
     img = images.resize_bilinear(raw, size, size)

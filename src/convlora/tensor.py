@@ -149,6 +149,9 @@ class Tensor:
         never holds more than the forward's tape. A graph can therefore be
         walked backwards once: a second ``backward`` that reaches a consumed
         tensor raises ValueError before touching any gradient.
+
+        A ``grad`` seed of another shape than this tensor's raises ValueError
+        before any gradient is touched; it is never broadcast.
         """
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that does not require grad")
@@ -156,6 +159,9 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward() without an explicit gradient needs a scalar")
             grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.data.shape:
+            raise ValueError(f"backward(): gradient shape {np.shape(grad)} does not "
+                             f"match the output's {self.data.shape}")
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -449,79 +455,16 @@ def _live_taps(size: int, ksz: int, pad: int) -> tuple[int, int]:
     return max(0, pad - out + 1), min(ksz, pad + size)
 
 
-def _pad_hw(a: np.ndarray, pads: tuple[int, int, int, int], axis: int = 2) -> np.ndarray:
-    # zero-pad the spatial axes (axis, axis + 1) by (top, bottom, left,
-    # right) into a new C-contiguous array; a negative amount crops. axis
-    # is 2 for NCHW, 1 for NHWC
+def _pad_hw(a: np.ndarray, pads: tuple[int, int, int, int]) -> np.ndarray:
+    # zero-pad the spatial axes of an [N, H, W, C] map by (top, bottom, left,
+    # right) into a new C-contiguous array; a negative amount crops
     top, bottom, left, right = pads
-    src = [slice(None)] * a.ndim
-    dst = [slice(None)] * a.ndim
-    shape = list(a.shape)
-    for ax, lo, hi in ((axis, top, bottom), (axis + 1, left, right)):
-        src[ax] = slice(max(0, -lo), a.shape[ax] - max(0, -hi))
-        shape[ax] += lo + hi
-        dst[ax] = slice(max(0, lo), shape[ax] - max(0, hi))
-    out = np.zeros(shape, dtype=a.dtype)
-    out[tuple(dst)] = a[tuple(src)]
+    n, h, w, c = a.shape
+    out = np.zeros((n, h + top + bottom, w + left + right, c), dtype=a.dtype)
+    out[:, max(0, top):out.shape[1] - max(0, bottom),
+        max(0, left):out.shape[2] - max(0, right)] = \
+        a[:, max(0, -top):h - max(0, -bottom), max(0, -left):w - max(0, -right)]
     return out
-
-
-def _depthwise_plan(op: str, c: int, h: int, w: int, k: Tensor, b: Tensor | None,
-                    pad: int):
-    """Check a depthwise call; return its live tap rows and columns, and the
-    spatial pads of the input (forward) and of the output gradient (vjp_x)."""
-    if k.data.ndim != 4:
-        raise ShapeError(f"{op}: kernel must be 4-D")
-    kc, one, kh, kw = k.shape
-    if kc != c or one != 1:
-        raise ShapeError(f"{op}: kernel shape {k.shape} does not match {c} channels")
-    if b is not None and b.shape != (c,):
-        raise ShapeError(f"{op}: bias shape {b.shape} does not match ({c},)")
-    if h + 2 * pad - kh + 1 < 1 or w + 2 * pad - kw + 1 < 1:
-        raise ShapeError(f"{op}: kernel larger than padded input")
-    i0, i1 = _live_taps(h, kh, pad)
-    j0, j1 = _live_taps(w, kw, pad)
-    # the input is padded only as far as the live taps reach; the input
-    # gradient is a full correlation restricted to the H x W positions
-    x_pads = (pad - i0, i1 + pad - kh, pad - j0, j1 + pad - kw)
-    g_pads = (i1 - 1 - pad, kh - 1 - pad - i0, j1 - 1 - pad, kw - 1 - pad - j0)
-    return slice(i0, i1), slice(j0, j1), x_pads, g_pads
-
-
-def depthwise_conv2d(x: Tensor, k: Tensor, b: Tensor | None = None,
-                     pad: int = 0) -> Tensor:
-    """Per-channel cross-correlation: channel c of the output sees only
-    channel c of the input. Kernel layout [C, 1, kh, kw], stride 1.
-
-    Taps that only ever see zero padding (a map smaller than the kernel's
-    reach, e.g. 7x7 taps at pad 3 on a 1x1 or 2x2 map) are skipped: the
-    input is padded only as far as the remaining taps reach, and the kernel
-    gradient of a skipped tap is exactly zero. The input gradient is
-    computed at the H x W input positions only, never over the padding.
-    """
-    if x.data.ndim != 4:
-        raise ShapeError("depthwise_conv2d: input must be 4-D")
-    n, c, h, w = x.shape
-    rows, cols, x_pads, g_pads = _depthwise_plan("depthwise_conv2d", c, h, w, k, b, pad)
-    kl = k.data[:, 0, rows, cols]
-    lh, lw = kl.shape[1:]
-    xp = _pad_hw(x.data, x_pads)
-    win = _windows(xp, lh, lw, 1)
-    y = np.einsum("nchwpq,cpq->nchw", win, kl)
-    if b is not None:
-        y = y + b.data[None, :, None, None]
-
-    def vjp_x(g):
-        gwin = _windows(_pad_hw(g, g_pads), lh, lw, 1)
-        return np.einsum("nchwpq,cpq->nchw", gwin, np.flip(kl, axis=(1, 2)))
-
-    def vjp_k(g):
-        dk = np.zeros_like(k.data)
-        dk[:, 0, rows, cols] = np.einsum("nchwpq,nchw->cpq", win, g)
-        return dk
-
-    return _node(y, "depthwise_conv2d", (x, k, b),
-                 (vjp_x, vjp_k, lambda g: g.sum(axis=(0, 2, 3))))
 
 
 def _shift_sum(src: np.ndarray, taps: np.ndarray, ho: int, wo: int) -> np.ndarray:
@@ -543,43 +486,85 @@ def _shift_sum(src: np.ndarray, taps: np.ndarray, ho: int, wo: int) -> np.ndarra
     return out.reshape(n, ho, wo, c)
 
 
-def depthwise_conv2d_nhwc(x: Tensor, k: Tensor, b: Tensor | None = None,
-                          pad: int = 0) -> Tensor:
-    """``depthwise_conv2d`` on channel-last maps: [N, H, W, C] in and out,
-    with the same [C, 1, kh, kw] kernel.
-
-    The forward and the input gradient are one shifted multiply-accumulate
-    per live tap (the taps ``depthwise_conv2d`` keeps), each over the whole
-    map with channels innermost; the kernel gradient is one channel
-    reduction per live tap and exactly zero on the dead ones. It sums in a
-    different order than ``depthwise_conv2d``, so the two agree to rounding.
-    """
-    if x.data.ndim != 4:
-        raise ShapeError("depthwise_conv2d_nhwc: input must be 4-D")
-    n, h, w, c = x.shape
-    rows, cols, x_pads, g_pads = _depthwise_plan("depthwise_conv2d_nhwc",
-                                                 c, h, w, k, b, pad)
-    taps = np.ascontiguousarray(k.data[:, 0, rows, cols].transpose(1, 2, 0))
+def _depthwise(x: np.ndarray, k: Tensor, b: Tensor | None, pad: int):
+    # the kernel of both depthwise ops: for a channel-last array x, the output
+    # and the VJPs for x, k and b, with maps and gradients all channel-last
+    _, h, w, c = x.shape
+    if k.data.ndim != 4:
+        raise ShapeError("depthwise_conv2d: kernel must be 4-D")
+    kc, one, kh, kw = k.shape
+    if kc != c or one != 1:
+        raise ShapeError(f"depthwise_conv2d: kernel shape {k.shape} does not match "
+                         f"{c} channels")
+    if b is not None and b.shape != (c,):
+        raise ShapeError(f"depthwise_conv2d: bias shape {b.shape} does not match ({c},)")
+    if h + 2 * pad - kh + 1 < 1 or w + 2 * pad - kw + 1 < 1:
+        raise ShapeError("depthwise_conv2d: kernel larger than padded input")
+    i0, i1 = _live_taps(h, kh, pad)
+    j0, j1 = _live_taps(w, kw, pad)
+    taps = np.ascontiguousarray(k.data[:, 0, i0:i1, j0:j1].transpose(1, 2, 0))
     lh, lw = taps.shape[:2]
-    xp = _pad_hw(x.data, x_pads, axis=1)
+    # the input is padded only as far as the live taps reach
+    xp = _pad_hw(x, (pad - i0, i1 + pad - kh, pad - j0, j1 + pad - kw))
     ho, wo = xp.shape[1] - lh + 1, xp.shape[2] - lw + 1
     y = _shift_sum(xp, taps, ho, wo)
     if b is not None:
         y += b.data
 
     def vjp_x(g):
-        return _shift_sum(_pad_hw(g, g_pads, axis=1), taps[::-1, ::-1], h, w)
+        # a full correlation restricted to the H x W input positions
+        gp = _pad_hw(g, (i1 - 1 - pad, kh - 1 - pad - i0, j1 - 1 - pad, kw - 1 - pad - j0))
+        return _shift_sum(gp, taps[::-1, ::-1], h, w)
 
     def vjp_k(g):
         dk = np.zeros_like(k.data)
         for p in range(lh):
             for q in range(lw):
-                dk[:, 0, rows.start + p, cols.start + q] = np.einsum(
+                dk[:, 0, i0 + p, j0 + q] = np.einsum(
                     "nhwc,nhwc->c", xp[:, p:p + ho, q:q + wo], g)
         return dk
 
-    return _node(y, "depthwise_conv2d_nhwc", (x, k, b),
-                 (vjp_x, vjp_k, lambda g: g.sum(axis=(0, 1, 2))))
+    return y, vjp_x, vjp_k, lambda g: g.sum(axis=(0, 1, 2))
+
+
+def depthwise_conv2d_nhwc(x: Tensor, k: Tensor, b: Tensor | None = None,
+                          pad: int = 0) -> Tensor:
+    """Per-channel cross-correlation of channel-last maps: channel c of the
+    [N, H, W, C] output sees only channel c of the [N, H, W, C] input.
+    Kernel layout [C, 1, kh, kw], stride 1.
+
+    The forward and the input gradient are one shifted multiply-accumulate
+    per live tap, each over the whole map with channels innermost; the
+    kernel gradient is one channel reduction per live tap. Taps that only
+    ever see zero padding (a map smaller than the kernel's reach, e.g. 7x7
+    taps at pad 3 on a 1x1 or 2x2 map) are skipped: the input is padded only
+    as far as the remaining taps reach, and the kernel gradient of a skipped
+    tap is exactly zero. The input gradient is computed at the H x W input
+    positions only, never over the padding.
+    """
+    if x.data.ndim != 4:
+        raise ShapeError("depthwise_conv2d_nhwc: input must be 4-D")
+    y, vjp_x, vjp_k, vjp_b = _depthwise(x.data, k, b, pad)
+    return _node(y, "depthwise_conv2d_nhwc", (x, k, b), (vjp_x, vjp_k, vjp_b))
+
+
+def depthwise_conv2d(x: Tensor, k: Tensor, b: Tensor | None = None,
+                     pad: int = 0) -> Tensor:
+    """``depthwise_conv2d_nhwc`` on NCHW maps, [N, C, H, W] in and out: the
+    same kernel run on the maps (and output gradients) transposed to
+    channel-last, so it gives that op's bits."""
+    if x.data.ndim != 4:
+        raise ShapeError("depthwise_conv2d: input must be 4-D")
+    y, vjp_x, vjp_k, vjp_b = _depthwise(x.data.transpose(0, 2, 3, 1), k, b, pad)
+
+    def nhwc(g):
+        return np.ascontiguousarray(g.transpose(0, 2, 3, 1))
+
+    return _node(np.ascontiguousarray(y.transpose(0, 3, 1, 2)), "depthwise_conv2d",
+                 (x, k, b),
+                 (lambda g: vjp_x(nhwc(g)).transpose(0, 3, 1, 2),
+                  lambda g: vjp_k(nhwc(g)),
+                  lambda g: vjp_b(nhwc(g))))
 
 
 def patch_conv2d_nhwc(x: Tensor, k: Tensor, b: Tensor | None = None) -> Tensor:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from _oracles import closed_form_backbone_count as closed_form_count
+from _oracles import depthwise_conv2d_loops
 
 from convlora import tensor as T
 from convlora.backbone import (
@@ -123,8 +124,9 @@ class TestForward:
 
 
 def _nchw_reference_forward(model, x):
-    """The backbone written with the NCHW ops ``conv2d`` and
-    ``depthwise_conv2d``, transposing only around each LayerNorm."""
+    """The backbone written with the NCHW op ``conv2d`` and the float64 loop
+    reference for the depthwise convolution, transposing only around each
+    LayerNorm; run it under ``no_grad``."""
     p, cfg = model.params, model.config
 
     def norm(h, pre):
@@ -141,8 +143,8 @@ def _nchw_reference_forward(model, x):
                          p[pre + "conv.bias"], stride=2)
         for b in range(cfg.depths[s]):
             pre = f"stages.{s}.blocks.{b}."
-            r = T.depthwise_conv2d(h, p[pre + "dwconv.weight"], p[pre + "dwconv.bias"],
-                                   pad=3)
+            r = depthwise_conv2d_loops(h.data, p[pre + "dwconv.weight"].data, 3)
+            r = T.Tensor((r + p[pre + "dwconv.bias"].data[:, None, None]).astype(h.dtype))
             r = T.layer_norm(T.transpose(r, (0, 2, 3, 1)), p[pre + "norm.gamma"],
                              p[pre + "norm.beta"], eps=1e-6)
             r = T.grn(T.gelu(T.linear(r, p[pre + "fc1.weight"], p[pre + "fc1.bias"])),

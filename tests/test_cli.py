@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -597,6 +598,31 @@ def test_malformed_invocation_exits_2_with_one_line(command, extra, dataset,
     assert run(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.fixture(scope="module")
+def gray_base(dataset, tmp_path_factory):
+    # a tiny base checkpoint for 1-channel images, with the dataset's classes
+    names = data.scan_dataset(dataset).class_names
+    config = replace(backbone.tiny_test_config(num_classes=len(names)), in_channels=1)
+    path = tmp_path_factory.mktemp("gray") / "model.ckpt"
+    persist.save(backbone.build_model(config, seed=0, class_names=names), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval", "cross-eval", "saliency"])
+def test_non_rgb_checkpoint_exits_4_with_one_line(command, dataset, gray_base, tmp_path,
+                                                  capsys):
+    if command == "saliency":
+        extra = ["--image", str(min(dataset.rglob("*.ppm"))),
+                 "--out", str(tmp_path / "map.pgm")]
+    else:
+        extra = ["--data", str(dataset)]
+    assert run([command, "--checkpoint", str(gray_base), *extra]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("compatibility error: "), err
+    assert "1-channel" in err[0]
+    assert run(["params", "--checkpoint", str(gray_base)]) == 0
 
 
 @pytest.mark.parametrize("config", [

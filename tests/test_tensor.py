@@ -146,19 +146,29 @@ class TestDepthwiseConv2d:
                                T.Tensor(np.zeros((2, 1, 3, 3))), pad=1)
 
 
+def _tap_sum(src, taps, ho, wo):
+    # out[n, c, i, j] = sum over (p, q) of src[n, c, i + p, j + q] * taps[c, p, q],
+    # one multiply and one add per tap in row-major tap order, as the op sums
+    out = src[:, :, :ho, :wo] * taps[:, 0, 0, None, None]
+    for p in range(taps.shape[1]):
+        for q in range(taps.shape[2]):
+            if p or q:
+                out += src[:, :, p:p + ho, q:q + wo] * taps[:, p, q, None, None]
+    return out
+
+
 def _full_kernel_forward(x, k, pad):
     # every tap over the symmetrically padded input, dead ones included
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, k.shape[2:], axis=(2, 3))
-    return np.einsum("nchwpq,cpq->nchw", win, k[:, 0])
+    kh, kw = k.shape[2:]
+    return _tap_sum(xp, k[:, 0], xp.shape[2] - kh + 1, xp.shape[3] - kw + 1)
 
 
 def _crop_after_pad_vjp_x(k, g, pad, h, w):
     # full correlation over the whole padded extent, then cropped to H x W
     kh, kw = k.shape[2:]
     gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-    gwin = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(2, 3))
-    dxp = np.einsum("nchwpq,cpq->nchw", gwin, np.flip(k[:, 0], axis=(1, 2)))
+    dxp = _tap_sum(gp, np.flip(k[:, 0], axis=(1, 2)), h + 2 * pad, w + 2 * pad)
     return dxp[:, :, pad:pad + h, pad:pad + w]
 
 
@@ -271,15 +281,17 @@ class TestDepthwiseConv2dNhwc:
     @pytest.mark.parametrize("c,hw", BLOCK_SHAPES)
     def test_float32_close_to_nchw_op(self, n, c, hw):
         rng = np.random.default_rng(c + hw + n)
+        # against the float64 loop references
         x = rng.normal(size=(n, c, hw, hw)).astype(np.float32)
-        k = T.Tensor((0.1 * rng.normal(size=(c, 1, 7, 7))).astype(np.float32))
-        ref = T.depthwise_conv2d(T.Tensor(x, requires_grad=True), k, pad=3)
-        y = T.depthwise_conv2d_nhwc(T.Tensor(nhwc(x), requires_grad=True), k, pad=3)
+        k = (0.1 * rng.normal(size=(c, 1, 7, 7))).astype(np.float32)
+        y = T.depthwise_conv2d_nhwc(T.Tensor(nhwc(x), requires_grad=True), T.Tensor(k),
+                                    pad=3)
         assert y.dtype == np.float32
-        np.testing.assert_allclose(nchw(y.data), ref.data, rtol=0, atol=2e-6)
-        g = rng.normal(size=ref.shape).astype(np.float32)
-        np.testing.assert_allclose(nchw(y._vjps[0](nhwc(g))), ref._vjps[0](g),
+        np.testing.assert_allclose(nchw(y.data), depthwise_conv2d_loops(x, k, 3),
                                    rtol=0, atol=2e-6)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        dx, _ = depthwise_conv2d_vjps_loops(x, k, g, 3)
+        np.testing.assert_allclose(nchw(y._vjps[0](nhwc(g))), dx, rtol=0, atol=2e-6)
 
     @pytest.mark.parametrize("n", [32, 4])
     @pytest.mark.parametrize("c,hw", BLOCK_SHAPES)
@@ -289,7 +301,7 @@ class TestDepthwiseConv2dNhwc:
         k = T.Tensor((0.1 * rng.normal(size=(c, 1, 7, 7))).astype(np.float32))
         g = rng.normal(size=x.shape).astype(np.float32)
         # _shift_sum views the padded map as [N, Hp, Wp*C], which needs it contiguous
-        assert T._pad_hw(x, (3, 3, 3, 3), axis=1).flags.c_contiguous
+        assert T._pad_hw(x, (3, 3, 3, 3)).flags.c_contiguous
         y = T.depthwise_conv2d_nhwc(T.Tensor(x, requires_grad=True), k, pad=3)
         dx = y._vjps[0](g)
         monkeypatch.setattr(T, "_shift_sum", shift_sum_per_pixel)
@@ -617,6 +629,16 @@ class TestTape:
         with pytest.raises(ValueError, match="already walked backwards"):
             second.backward()
         np.testing.assert_allclose(x.grad, [[2.0, 2.0]])
+
+    def test_seed_of_another_shape_raises(self):
+        x = t64([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
+        y = T.gelu(x)
+        for seed in (np.ones(3), np.array(1.0)):
+            with pytest.raises(ValueError, match="gradient shape"):
+                y.backward(seed)
+        assert x.grad is None and y.grad is None
+        y.backward(np.ones((2, 3)))
+        np.testing.assert_allclose(x.grad, T.gelu(t64(x.data))._vjps[0](np.ones((2, 3))))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_nonfinite_surfaced(self):
