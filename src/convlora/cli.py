@@ -35,16 +35,18 @@ from .tensor import NumericsError
 from .training import TrainConfig, cross_eval, evaluate, predict, train
 
 
-def _section(cls) -> dict:
-    """A config section holding a dataclass's fields and defaults, tuples as lists."""
-    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
-            for f in fields(cls)}
+def _section(config, derived: str | None = None) -> dict:
+    """A config section holding a library config's fields and values, tuples
+    as lists; the ``derived`` field is worked out by the run instead."""
+    values = {f.name: getattr(config, f.name) for f in fields(config) if f.name != derived}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 DEFAULT_CONFIG: dict = {
-    "model": {**base_config(num_classes=None).to_dict(), "seed": 0},
-    "train": _section(TrainConfig),
-    "augment": _section(AugmentConfig),
+    # images decode as RGB and resize to the model's image_size
+    "model": {**_section(base_config(num_classes=None), "in_channels"), "seed": 0},
+    "train": _section(TrainConfig()),
+    "augment": _section(AugmentConfig(), "resize"),
     # no library dataclass holds these two sections
     "lora": {"enabled": True, "rank": 16, "alpha": 32.0, "dropout": 0.1,
              "targets": list(DEFAULT_TARGETS)},
@@ -151,8 +153,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _build(cls, name: str, section: dict):
-    """The validated ``cls`` made from the section's entries for its fields."""
-    values = {f.name: section[f.name] for f in fields(cls)}
+    """The validated ``cls`` from the section's entries; other fields keep defaults."""
+    values = {f.name: section[f.name] for f in fields(cls) if f.name in section}
     try:
         built = cls(**{k: tuple(v) if isinstance(v, list) else v
                        for k, v in values.items()})
@@ -164,15 +166,16 @@ def _build(cls, name: str, section: dict):
 
 def _run_configs(cfg: dict, dataset_classes: int):
     """The model, train and augment configs of a resolved run config; a null
-    model.num_classes takes ``dataset_classes``."""
+    model.num_classes takes ``dataset_classes``, and the resize is image_size."""
     model = cfg["model"]
     if model["seed"] < 0:
         raise ConfigError("invalid model config: seed must be >= 0")
     if model["num_classes"] is None:
         model = {**model, "num_classes": dataset_classes}
-    return (_build(ModelConfig, "model", model),
-            _build(TrainConfig, "train", cfg["train"]),
-            _build(AugmentConfig, "augment", cfg["augment"]))
+    model_config = _build(ModelConfig, "model", model)
+    return (model_config, _build(TrainConfig, "train", cfg["train"]),
+            _build(AugmentConfig, "augment",
+                   {**cfg["augment"], "resize": model_config.image_size}))
 
 
 def _lora_settings(cfg: dict, config: ModelConfig) -> dict:
@@ -227,15 +230,19 @@ def _load_models_for_eval(ckpt_paths: list[str], base_path: str | None) -> list:
     return models
 
 
+def _rgb(path: str, model):
+    """``model``, loaded from ``path``, if it takes the decoded (RGB) images."""
+    if model.config.in_channels != 3:
+        raise CompatibilityError(f"{path} takes {model.config.in_channels}-channel "
+                                 f"images, but images are decoded as RGB (3 channels)")
+    return model
+
+
 def _load_rgb_models(ckpt_paths: list[str], base_path: str | None) -> list:
     """``_load_models_for_eval`` for the commands that feed the models
-    decoded images, which are RGB."""
-    models = _load_models_for_eval(ckpt_paths, base_path)
-    for path, model in zip(ckpt_paths, models):
-        if model.config.in_channels != 3:
-            raise CompatibilityError(f"{path} takes {model.config.in_channels}-channel "
-                                     f"images, but images are decoded as RGB (3 channels)")
-    return models
+    decoded images."""
+    return [_rgb(path, model) for path, model in
+            zip(ckpt_paths, _load_models_for_eval(ckpt_paths, base_path))]
 
 
 # ---------------------------------------------------------------------------
@@ -273,23 +280,29 @@ def cmd_train(args) -> int:
     manifest = _split_dataset(data["root"], data_mod.SPLITS,
                               ratios=tuple(data["ratios"]),
                               seed=data["split_seed"], by_group=data["by_group"])
-    model_config, train_cfg, augment = _run_configs(cfg, manifest.num_classes)
-    num_classes = model_config.num_classes
-
+    num_classes = manifest.num_classes
+    lora_cfg = cfg["lora"]
+    base = None
     if cfg["init_from"]:
-        base = _load_base(cfg["init_from"], "init_from")
-    else:
+        base = _rgb(cfg["init_from"], _load_base(cfg["init_from"], "init_from"))
+        # only inject fits a new head
+        if not lora_cfg["enabled"] and base.config.num_classes != num_classes:
+            raise CompatibilityError(
+                f"{cfg['init_from']} has {base.config.num_classes} classes, but "
+                f"dataset {data['root']} has {num_classes}")
+        # the checkpoint fixes the architecture, so the run and config.json take it
+        arch = base.config.to_dict()
+        cfg["model"].update({k: arch[k] for k in ("depths", "dims", "image_size",
+                                                  "mlp_ratio")})
+    model_config, train_cfg, augment = _run_configs(cfg, num_classes)
+    # the labels index the logits
+    if model_config.num_classes != num_classes:
+        raise ConfigError(f"model.num_classes is {model_config.num_classes}, but "
+                          f"dataset {data['root']} has {num_classes} classes")
+    if base is None:
         base = build_model(model_config, seed=cfg["model"]["seed"])
     base.class_names = manifest.class_names
-    # the data path decodes RGB and resizes every image to augment.resize
-    if base.config.in_channels != 3:
-        raise ConfigError(f"model.in_channels is {base.config.in_channels}, "
-                          f"but images are decoded as RGB (3 channels)")
-    if base.config.image_size != augment.resize:
-        raise ConfigError(f"augment.resize {augment.resize} does not match "
-                          f"the model's image_size {base.config.image_size}")
 
-    lora_cfg = cfg["lora"]
     model = base
     if lora_cfg["enabled"]:
         model = inject(base, **_lora_settings(cfg, base.config),
@@ -322,7 +335,7 @@ def cmd_eval(args) -> int:
     manifest = _split_dataset(args.data, [args.split], seed=args.split_seed,
                               by_group=args.by_group)
     # the report indexes predictions and labels by one vocabulary
-    training.class_mapping(model.class_names, manifest.class_names)
+    training.class_mapping(model, manifest.class_names)
     if model.class_names != manifest.class_names:
         raise CompatibilityError(f"model classes {model.class_names} differ from "
                                  f"dataset classes {manifest.class_names}")

@@ -251,11 +251,17 @@ def write_prediction_dump(path: str | Path, manifest: DatasetManifest,
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def class_mapping(model_names: list[str] | None,
-                  dataset_names: list[str]) -> np.ndarray:
-    """Model prediction index -> dataset class id, matched by class name."""
+def class_mapping(model, dataset_names: list[str]) -> np.ndarray:
+    """Model prediction index -> dataset class id, matched by class name;
+    the model's class names must name each of its outputs once."""
+    model_names = model.class_names
     if model_names is None:
         raise CompatibilityError("model has no class vocabulary recorded")
+    if len(model_names) != model.config.num_classes:
+        raise CompatibilityError(f"model has {len(model_names)} class names for "
+                                 f"{model.config.num_classes} outputs")
+    if len(set(model_names)) != len(model_names):
+        raise CompatibilityError(f"model class names {model_names} repeat a name")
     mapping = np.empty(len(model_names), dtype=np.int64)
     for i, name in enumerate(model_names):
         try:
@@ -277,7 +283,7 @@ def cross_eval(models, datasets: list[DatasetManifest],
     out = np.zeros((len(models), len(datasets)))
     for i, model in enumerate(models):
         for j, manifest in enumerate(datasets):
-            mapping = class_mapping(model.class_names, manifest.class_names)
+            mapping = class_mapping(model, manifest.class_names)
             _, labels, preds, _ = predict(model, manifest, split_name,
                                           augment, batch_size)
             out[i, j] = float((mapping[preds] == labels).mean())

@@ -3,6 +3,7 @@ plus a few through ``python -m convlora`` in a subprocess."""
 
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -43,7 +44,6 @@ def _toy_train_args(dataset, out_dir, extra=()):
             "--model.depths", "1,1,1,1",
             "--model.dims", "8,16,32,64",
             "--model.image_size", "32",
-            "--augment.resize", "32",
             "--train.max_epochs", "2",
             "--train.batch_size", "16",
             "--train.lr", "0.002",
@@ -338,7 +338,7 @@ class TestMerge:
         assert run(["train", "--data.root", str(dataset),
                     "--output_dir", str(other_dir),
                     "--model.depths", "1,1,1,1", "--model.dims", "16,32,64,128",
-                    "--model.image_size", "32", "--augment.resize", "32",
+                    "--model.image_size", "32",
                     "--train.max_epochs", "1", "--train.batch_size", "16",
                     "--data.ratios", "0.7,0.15,0.15",
                     "--lora.enabled", "false"]) == 0
@@ -540,6 +540,9 @@ MALFORMED = [
     pytest.param("config", {"train": 5}, id="json-value-for-table"),
     pytest.param("config", [1, 2], id="json-top-level-list"),
     pytest.param("config", {"lora": {"rnak": 4}}, id="json-unknown-key"),
+    # train derives these, so they are not keys; an older config file may carry them
+    pytest.param("config", {"augment": {"resize": 32}}, id="json-derived-resize"),
+    pytest.param("config", {"model": {"in_channels": 3}}, id="json-derived-in-channels"),
     pytest.param("config", {"augment": {"rotation_max_deg": float("inf")}},
                  id="json-rotation-infinity"),
     pytest.param("train", ["--train.max_epochs", "abc"], id="max_epochs-text"),
@@ -548,10 +551,10 @@ MALFORMED = [
     pytest.param("train", ["--lora.rank", "2", "--lora.dropout", "1.5"],
                  id="train-dropout"),
     pytest.param("train", [], id="train-rank-over-tiny-dims"),
-    pytest.param("train", ["--lora.rank", "2", "--augment.resize", "64"],
-                 id="resize-not-image-size"),
-    pytest.param("train", ["--lora.rank", "2", "--model.in_channels", "1"],
-                 id="in-channels-not-rgb"),
+    pytest.param("train", ["--lora.rank", "2", "--model.num_classes", "5"],
+                 id="num-classes-above-dataset"),
+    pytest.param("train", ["--lora.enabled", "false", "--model.num_classes", "2"],
+                 id="num-classes-below-dataset"),
     pytest.param("train", ["--lora.rank", "2", "--train.seed", "-1"],
                  id="train-seed-negative"),
     pytest.param("train", ["--lora.rank", "2", "--model.seed", "-1"],
@@ -625,6 +628,61 @@ def test_non_rgb_checkpoint_exits_4_with_one_line(command, dataset, gray_base, t
     assert run(["params", "--checkpoint", str(gray_base)]) == 0
 
 
+@pytest.mark.parametrize("case", ["non-rgb-base", "head-off-the-classes"])
+def test_init_from_a_base_that_does_not_fit_exits_4_with_one_line(case, dataset, trained,
+                                                                  gray_base, tmp_path,
+                                                                  capsys):
+    if case == "non-rgb-base":
+        root, extra = dataset, ["--lora.rank", "2", "--init_from", str(gray_base)]
+    else:
+        # a 3-class base trained in full on 4 classes; only inject fits a new head
+        root = tmp_path / "four"
+        assert run(["synth", "--out", str(root), "--classes", "4", "--per-class", "12",
+                    "--image-size", "32", "--seed", "5"]) == 0
+        extra = ["--lora.enabled", "false", "--init_from", str(trained["base"])]
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run(_toy_train_args(root, out, extra)) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("compatibility error: "), err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, outputs, names", [
+    pytest.param("cross-eval", 3, lambda names: names[:2], id="fewer-names"),
+    pytest.param("eval", 4, lambda names: names, id="more-outputs"),
+    pytest.param("cross-eval", 3, lambda names: [names[0], *names[:2]],
+                 id="repeated-name"),
+])
+def test_class_names_not_one_per_output_exit_4_with_one_line(command, outputs, names,
+                                                             dataset, tmp_path, capsys):
+    dataset_names = data.scan_dataset(dataset).class_names
+    model = backbone.build_model(backbone.tiny_test_config(num_classes=outputs), seed=0,
+                                 class_names=dataset_names)
+    model.params["head.bias"].data[2] = 100.0    # every prediction is output 2
+    path = tmp_path / "model.ckpt"
+    persist.save(model, path)
+    _edit_header(path, lambda header: header.update(class_names=names(dataset_names)))
+    assert run([command, "--checkpoint", str(path), "--data", str(dataset)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("compatibility error: "), err
+
+
+def test_init_from_run_echoes_the_base_architecture(dataset, trained, tmp_path):
+    out = tmp_path / "run"
+    assert run(["train", "--data.root", str(dataset), "--output_dir", str(out),
+                "--init_from", str(trained["base"]), "--lora.rank", "2",
+                "--train.max_epochs", "1", "--train.batch_size", "16",
+                "--data.ratios", "0.7,0.15,0.15"]) == 0
+
+    def model_section(run_dir):
+        section = json.loads((run_dir / "config.json").read_text())["model"]
+        del section["num_classes"]
+        return section
+
+    assert model_section(out) == model_section(trained["base"].parent)
+
+
 @pytest.mark.parametrize("config", [
     {"train": {"lr": 1}, "lora": {"alpha": 8}},
     {"model": {"num_classes": None}, "init_from": None},
@@ -658,6 +716,21 @@ TYPED_FLAGS = sorted(path for path, default in cli._leaves(cli.DEFAULT_CONFIG)
                                        "fc1", "fc1,fc2,head", "1,1,1,1"])))
 def test_params_flag_text_exits_0_or_2(path, text):
     assert run(["params", f"--{path}={text}"]) in (0, 2)
+
+
+def test_readme_walkthrough_commands_parse():
+    # the README's commands go through the parser and the config resolution,
+    # so a flag that leaves the CLI cannot stay in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI walkthrough", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("convlora ")]
+    assert sum(argv[0] in ("train", "params") for argv in commands) >= 3
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        if argv[0] in ("train", "params"):
+            cli.resolve_config(args)
 
 
 SRC = Path(cli.__file__).resolve().parents[1]
