@@ -271,7 +271,6 @@ def cmd_train(args) -> int:
     if not out_dir:
         raise ConfigError("output_dir is required")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     data = cfg["data"]
     if not data["root"]:
@@ -290,10 +289,15 @@ def cmd_train(args) -> int:
             raise CompatibilityError(
                 f"{cfg['init_from']} has {base.config.num_classes} classes, but "
                 f"dataset {data['root']} has {num_classes}")
-        # the checkpoint fixes the architecture, so the run and config.json take it
+        # the checkpoint fixes the architecture, so the run and config.json
+        # take it; a key set to neither the default nor the checkpoint's value
+        # asked for another architecture
         arch = base.config.to_dict()
-        cfg["model"].update({k: arch[k] for k in ("depths", "dims", "image_size",
-                                                  "mlp_ratio")})
+        for key in ("depths", "dims", "image_size", "mlp_ratio"):
+            if cfg["model"][key] not in (DEFAULT_CONFIG["model"][key], arch[key]):
+                raise ConfigError(f"model.{key} is {cfg['model'][key]}, but "
+                                  f"init_from {cfg['init_from']} has {arch[key]}")
+            cfg["model"][key] = arch[key]
     model_config, train_cfg, augment = _run_configs(cfg, num_classes)
     # the labels index the logits
     if model_config.num_classes != num_classes:
@@ -310,6 +314,7 @@ def cmd_train(args) -> int:
 
     best, history = train(model, manifest, train_cfg, augment)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     data_mod.write_manifest_tsv(manifest, out_dir / "manifest.tsv")
     history.to_csv(out_dir / "history.csv")
@@ -402,6 +407,11 @@ def cmd_saliency(args) -> int:
 
 def cmd_params(args) -> int:
     if args.checkpoint:
+        given = [name for name in ("config", *dict(_leaves(DEFAULT_CONFIG)))
+                 if getattr(args, name) is not None]
+        if given:
+            raise ConfigError(f"params --checkpoint takes no --{given[0]}: the "
+                              f"checkpoint fixes the model")
         loaded = _load_models_for_eval([args.checkpoint], args.base)[0]
         counts = count_params(loaded)
     else:

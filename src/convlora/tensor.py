@@ -289,6 +289,32 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
                  (x,), (lambda g: g.transpose(inv),))
 
 
+def _project(op: str, x: np.ndarray, w: np.ndarray, b: Tensor | None):
+    """The dense projection that ``linear``, ``lora_linear`` and
+    ``patch_conv2d_nhwc`` share: y = rows @ w^T (+ b), where the rows are x
+    with its leading axes flattened, w is [d, k] and b is [d].
+
+    The checks name ``op``. The bias is added in place, so y keeps the
+    GEMM's dtype. Returns the [M, k] rows, the [M, d] output and the VJPs
+    for the rows, w and b; each VJP takes the output's gradient in any shape
+    whose last axis is d.
+    """
+    if w.ndim != 2:
+        raise ShapeError(f"{op}: weight must be 2-D, got {w.shape}")
+    d, k = w.shape
+    if x.shape[-1] != k:
+        raise ShapeError(f"{op}: x has {x.shape[-1]} features, weight expects {k}")
+    if b is not None and b.shape != (d,):
+        raise ShapeError(f"{op}: bias shape {b.shape} does not match ({d},)")
+    rows = x.reshape(-1, k)
+    y = rows @ w.T
+    if b is not None:
+        y += b.data
+    return rows, y, (lambda g: g.reshape(-1, d) @ w,
+                     lambda g: g.reshape(-1, d).T @ rows,
+                     lambda g: g.reshape(-1, d).sum(axis=0))
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """y[..., i] = sum_j w[i, j] * x[..., j] (+ b[i]).
 
@@ -296,28 +322,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     one row axis, so the forward and the x and w gradients are each one 2-D
     GEMM, however many leading axes the input has.
     """
-    if w.data.ndim != 2:
-        raise ShapeError(f"linear: weight must be 2-D, got {w.shape}")
-    d, k = w.shape
-    if x.shape[-1] != k:
-        raise ShapeError(f"linear: x has {x.shape[-1]} features, weight expects {k}")
-    if b is not None and b.shape != (d,):
-        raise ShapeError(f"linear: bias shape {b.shape} does not match ({d},)")
-
-    rows = x.data.reshape(-1, k)
-    y = rows @ w.data.T
-    if b is not None:
-        y = y + b.data
-    y = y.reshape(*x.shape[:-1], d)
-
-    def vjp_x(g):
-        return (g.reshape(-1, d) @ w.data).reshape(x.shape)
-
-    def vjp_w(g):
-        return g.reshape(-1, d).T @ rows
-
-    return _node(y, "linear", (x, w, b),
-                 (vjp_x, vjp_w, lambda g: g.reshape(-1, d).sum(axis=0)))
+    _, y, (vjp_rows, vjp_w, vjp_b) = _project("linear", x.data, w.data, b)
+    return _node(y.reshape(*x.shape[:-1], y.shape[1]), "linear", (x, w, b),
+                 (lambda g: vjp_rows(g).reshape(x.shape), vjp_w, vjp_b))
 
 
 def lora_linear(x: Tensor, w: Tensor, b: Tensor | None, A: Tensor, B: Tensor,
@@ -333,13 +340,8 @@ def lora_linear(x: Tensor, w: Tensor, b: Tensor | None, A: Tensor, B: Tensor,
     have that chain's bits, but it keeps only ``keep`` and ``u = h A^T``
     ([M, r]) besides its inputs and output: h is rebuilt for A's gradient.
     """
-    if w.data.ndim != 2:
-        raise ShapeError(f"lora_linear: weight must be 2-D, got {w.shape}")
+    rows, y, (vjp_rows, vjp_w, vjp_bias) = _project("lora_linear", x.data, w.data, b)
     d, k = w.shape
-    if x.shape[-1] != k:
-        raise ShapeError(f"lora_linear: x has {x.shape[-1]} features, weight expects {k}")
-    if b is not None and b.shape != (d,):
-        raise ShapeError(f"lora_linear: bias shape {b.shape} does not match ({d},)")
     if A.data.ndim != 2 or A.shape[1] != k or B.shape != (d, A.shape[0]):
         raise ShapeError(f"lora_linear: A {A.shape} and B {B.shape} do not fit "
                          f"a ({d}, {k}) weight")
@@ -354,18 +356,14 @@ def lora_linear(x: Tensor, w: Tensor, b: Tensor | None, A: Tensor, B: Tensor,
             return a
         return a * (keep.reshape(-1, k).astype(dtype) / (1.0 - p))
 
-    rows = x.data.reshape(-1, k)
-    y = rows @ w.data.T
-    if b is not None:
-        y += b.data
     u = dropped(rows) @ A.data.T
     delta = u @ B.data.T
     delta *= s
     y += delta
 
     def vjp_x(g):
-        g = g.reshape(-1, d)
-        return (g @ w.data + dropped((g * s) @ B.data @ A.data)).reshape(x.shape)
+        delta_x = dropped((g.reshape(-1, d) * s) @ B.data @ A.data)
+        return (vjp_rows(g) + delta_x).reshape(x.shape)
 
     def vjp_a(g):
         return ((g.reshape(-1, d) * s) @ B.data).T @ dropped(rows)
@@ -374,10 +372,7 @@ def lora_linear(x: Tensor, w: Tensor, b: Tensor | None, A: Tensor, B: Tensor,
         return (g.reshape(-1, d) * s).T @ u
 
     return _node(y.reshape(*x.shape[:-1], d), "lora_linear", (x, w, b, A, B),
-                 (vjp_x,
-                  lambda g: g.reshape(-1, d).T @ rows,
-                  lambda g: g.reshape(-1, d).sum(axis=0),
-                  vjp_a, vjp_b))
+                 (vjp_x, vjp_w, vjp_bias, vjp_a, vjp_b))
 
 
 def _windows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -582,8 +577,6 @@ def patch_conv2d_nhwc(x: Tensor, k: Tensor, b: Tensor | None = None) -> Tensor:
     o, kc, kh, kw = k.shape
     if kc != c:
         raise ShapeError(f"patch_conv2d_nhwc: kernel expects {kc} input channels, got {c}")
-    if b is not None and b.shape != (o,):
-        raise ShapeError(f"patch_conv2d_nhwc: bias shape {b.shape} does not match ({o},)")
     if h < kh or w < kw or h % kh or w % kw:
         raise ShapeError(f"patch_conv2d_nhwc: a {h}x{w} map does not tile into "
                          f"{kh}x{kw} patches")
@@ -592,21 +585,15 @@ def patch_conv2d_nhwc(x: Tensor, k: Tensor, b: Tensor | None = None) -> Tensor:
     # one row per patch, ordered (channel, patch row, patch column) like a
     # flattened OIHW kernel, so the kernel needs no reordering
     patches = x.data.reshape(n, ho, kh, wo, kw, c).transpose(0, 1, 3, 5, 2, 4)
-    rows = patches.reshape(-1, c * kh * kw)
-    wmat = k.data.reshape(o, -1)
-    y = (rows @ wmat.T).reshape(n, ho, wo, o)
-    if b is not None:
-        y += b.data
+    _, y, (vjp_rows, vjp_w, vjp_b) = _project(
+        "patch_conv2d_nhwc", patches.reshape(-1, c * kh * kw), k.data.reshape(o, -1), b)
 
     def vjp_x(g):
-        d = (g.reshape(-1, o) @ wmat).reshape(n, ho, wo, c, kh, kw)
+        d = vjp_rows(g).reshape(n, ho, wo, c, kh, kw)
         return d.transpose(0, 1, 4, 2, 5, 3).reshape(x.shape)
 
-    def vjp_k(g):
-        return (g.reshape(-1, o).T @ rows).reshape(k.shape)
-
-    return _node(y, "patch_conv2d_nhwc", (x, k, b),
-                 (vjp_x, vjp_k, lambda g: g.reshape(-1, o).sum(axis=0)))
+    return _node(y.reshape(n, ho, wo, o), "patch_conv2d_nhwc", (x, k, b),
+                 (vjp_x, lambda g: vjp_w(g).reshape(k.shape), vjp_b))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:

@@ -601,6 +601,8 @@ def test_malformed_invocation_exits_2_with_one_line(command, extra, dataset,
     assert run(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    if command == "train":
+        assert not (tmp_path / "run").exists()
 
 
 @pytest.fixture(scope="module")
@@ -645,7 +647,43 @@ def test_init_from_a_base_that_does_not_fit_exits_4_with_one_line(case, dataset,
     assert run(_toy_train_args(root, out, extra)) == 4
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("compatibility error: "), err
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("depths", "1,1,2,1"), ("dims", "8,16,32,32"),
+                                        ("image_size", "64"), ("mlp_ratio", "2")])
+def test_init_from_with_another_architecture_exits_2_with_one_line(key, value, dataset,
+                                                                   trained, tmp_path,
+                                                                   capsys):
+    # the toy flags repeat the base's architecture; the last flag asks for another
+    out = tmp_path / "run"
+    extra = ["--lora.rank", "2", "--init_from", str(trained["base"]),
+             f"--model.{key}", value]
+    capsys.readouterr()
+    assert run(_toy_train_args(dataset, out, extra)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert f"model.{key}" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    pytest.param(["--model.dims", "1,2"], id="invalid-dims"),
+    pytest.param(["--lora.rank", "4"], id="rank"),
+    pytest.param(["--model.image_size", "32"], id="image-size-of-the-checkpoint"),
+    pytest.param(["--config"], id="config-file"),
+])
+def test_params_checkpoint_with_config_flags_exits_2_with_one_line(extra, trained,
+                                                                   tmp_path, capsys):
+    if extra == ["--config"]:
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        extra = ["--config", str(config)]
+    capsys.readouterr()
+    assert run(["params", "--checkpoint", str(trained["base"]), *extra]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert extra[0] in err[0]
 
 
 @pytest.mark.parametrize("command, outputs, names", [

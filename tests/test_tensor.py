@@ -379,6 +379,71 @@ class TestPatchConv2dNhwc:
 
 
 # ---------------------------------------------------------------------------
+# one dense projection under linear, lora_linear and patch_conv2d_nhwc
+# ---------------------------------------------------------------------------
+
+def _lora_linear(x, w, b):
+    # a rank-2 adapter for a weight with 4 outputs
+    A, B = (T.Tensor(np.ones(s, dtype=np.float32)) for s in ((2, w.shape[-1]), (4, 2)))
+    return T.lora_linear(x, w, b, A, B, 0.5)
+
+
+# (name, op, input shape, weight shape) for the three ops over one
+# projection, each with 4 outputs
+PROJECTION_OPS = [
+    pytest.param("linear", T.linear, (2, 3, 6), (4, 6), id="linear"),
+    pytest.param("lora_linear", _lora_linear, (2, 3, 6), (4, 6), id="lora_linear"),
+    pytest.param("patch_conv2d_nhwc", T.patch_conv2d_nhwc, (2, 4, 4, 3), (4, 3, 2, 2),
+                 id="patch_conv2d_nhwc"),
+]
+
+
+class TestOneProjection:
+    @pytest.mark.parametrize("shape, kshape", [((2, 8, 8, 3), (5, 3, 4, 4)),
+                                               ((1, 4, 6, 2), (3, 2, 2, 3))])
+    def test_patch_conv_is_linear_on_the_patch_rows(self, shape, kshape):
+        rng = np.random.default_rng(kshape[0])
+        n, h, w, c = shape
+        o, _, kh, kw = kshape
+        ho, wo = h // kh, w // kw
+        x, k, b = (rng.normal(size=s).astype(np.float32) for s in (shape, kshape, o))
+        g = rng.normal(size=(n, ho, wo, o)).astype(np.float32)
+        xt, kt, bt = (T.Tensor(a, requires_grad=True) for a in (x, k, b))
+        y = T.patch_conv2d_nhwc(xt, kt, bt)
+        y.backward(g)
+        # one row per patch, ordered (channel, patch row, patch column) like
+        # the flattened kernel
+        rows = x.reshape(n, ho, kh, wo, kw, c).transpose(0, 1, 3, 5, 2, 4)
+        xr, wr, br = (T.Tensor(a, requires_grad=True)
+                      for a in (rows.reshape(n, ho, wo, -1), k.reshape(o, -1), b))
+        ref = T.linear(xr, wr, br)
+        ref.backward(g)
+        assert np.array_equal(y.data, ref.data)
+        x_grad = xr.grad.reshape(n, ho, wo, c, kh, kw).transpose(0, 1, 4, 2, 5, 3)
+        assert np.array_equal(xt.grad, x_grad.reshape(shape))
+        assert np.array_equal(kt.grad, wr.grad.reshape(kshape))
+        assert np.array_equal(bt.grad, br.grad)
+
+    @pytest.mark.parametrize("name, op, xs, ws", PROJECTION_OPS)
+    def test_float64_bias_keeps_the_float32_output(self, name, op, xs, ws):
+        rng = np.random.default_rng(2)
+        x, w = (T.Tensor(rng.normal(size=s).astype(np.float32)) for s in (xs, ws))
+        y = op(x, w, T.Tensor(rng.normal(size=4)))
+        assert y.dtype == np.float32
+
+    @pytest.mark.parametrize("name, op, xs, ws", PROJECTION_OPS)
+    @pytest.mark.parametrize("fault", ["1-D weight", "feature count", "bias shape"])
+    def test_shape_checks_name_the_op(self, name, op, xs, ws, fault):
+        if fault == "1-D weight":
+            ws = (math.prod(ws),)
+        elif fault == "feature count":
+            xs = (*xs[:-1], xs[-1] + 1)
+        nb = 5 if fault == "bias shape" else 4
+        with pytest.raises(T.ShapeError, match=f"^{name}: "):
+            op(T.Tensor(np.ones(xs)), T.Tensor(np.ones(ws)), T.Tensor(np.ones(nb)))
+
+
+# ---------------------------------------------------------------------------
 # layer norm / gelu / grn / pool
 # ---------------------------------------------------------------------------
 
