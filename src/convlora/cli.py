@@ -271,6 +271,12 @@ def cmd_train(args) -> int:
     if not out_dir:
         raise ConfigError("output_dir is required")
     out_dir = Path(out_dir)
+    # made only at the first write, so check now that it can be made: the
+    # path or its nearest existing ancestor must be a directory
+    existing = next(p for p in (out_dir, *out_dir.absolute().parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output_dir {out_dir} cannot be made: {existing} "
+                          f"is not a directory")
 
     data = cfg["data"]
     if not data["root"]:

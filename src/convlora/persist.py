@@ -10,6 +10,14 @@ kind, config and adapter settings (``_layout``): ``save`` writes it, and
 ``load`` accepts no other. No timestamps and sorted JSON keys keep
 the bytes identical for identical inputs; writes go through a temp file and
 an atomic rename.
+
+A payload larger than ``_CHUNK`` is hashed on a second thread while it is
+read or written: the file moves ``_CHUNK`` bytes at a time, and the worker
+feeds each finished chunk, in order, to the SHA-256 (both release the GIL).
+``save`` writes the payload first, after room for a header whose length is
+already known (the digest is always 64 hex characters), then seeks back and
+writes the magic, the length and the header. A smaller payload is hashed
+inline, with no thread.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import json
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +42,8 @@ from .tensor import Tensor
 MAGIC = b"CVLORA01"
 FORMAT_VERSION = 1
 CREATED_BY = "convlora 0.1.0"
+# the bytes the file moves between handoffs to the hashing thread
+_CHUNK = 8 << 20
 
 
 class CheckpointError(ValueError):
@@ -63,6 +74,54 @@ def _layout(kind: str, config: ModelConfig, lora: dict | None) -> list[dict]:
     return entries
 
 
+def _chunks(arrays: list[np.ndarray]):
+    """Byte views of the contiguous ``arrays``, in order, each at most
+    ``_CHUNK`` bytes: the file and the hash take them through the buffer
+    protocol, without a bytes copy."""
+    for arr in arrays:
+        flat = arr.reshape(-1).view(np.uint8)
+        for start in range(0, flat.size, _CHUNK):
+            yield flat[start:start + _CHUNK]
+
+
+def _hashed(chunks, nbytes: int, move) -> str:
+    """Call ``move`` (a read or a write) on each of ``chunks`` in order, and
+    return the SHA-256 hex digest of their ``nbytes`` bytes as they stand
+    after it. Above one ``_CHUNK`` a worker thread hashes each chunk once
+    ``move`` is done with it; an exception from ``move`` stops the worker,
+    which is joined before the exception propagates."""
+    digest = hashlib.sha256()
+    if nbytes <= _CHUNK:
+        for chunk in chunks:
+            move(chunk)
+            digest.update(chunk)
+        return digest.hexdigest()
+    chunks = list(chunks)
+    moved = threading.Semaphore(0)
+    failed = threading.Event()
+
+    def hash_moved() -> None:
+        for chunk in chunks:
+            moved.acquire()
+            if failed.is_set():
+                return
+            digest.update(chunk)
+
+    worker = threading.Thread(target=hash_moved, name="checkpoint-sha256", daemon=True)
+    worker.start()
+    try:
+        for chunk in chunks:
+            move(chunk)
+            moved.release()
+    except BaseException:
+        failed.set()
+        moved.release()
+        raise
+    finally:
+        worker.join()
+    return digest.hexdigest()
+
+
 def save(obj, path: str | Path) -> None:
     """Write a Model (kind "base") or PeftModel (kind "adapter") checkpoint.
 
@@ -85,12 +144,6 @@ def save(obj, path: str | Path) -> None:
             raise ValueError(f"tensor {entry['name']!r} has shape {list(arr.shape)}, "
                              f"the layout gives it {entry['shape']}")
 
-    # contiguous little-endian arrays go to the hash and the file through
-    # the buffer protocol, without a bytes copy of each tensor
-    digest = hashlib.sha256()
-    for arr in arrays:
-        digest.update(arr)
-
     header = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -100,21 +153,27 @@ def save(obj, path: str | Path) -> None:
         "created_by": CREATED_BY,
         "tensors": entries,
         "payload_nbytes": sum(arr.nbytes for arr in arrays),
-        "payload_sha256": digest.hexdigest(),
+        # a stand-in of the digest's length, so that the payload can be
+        # written before it is hashed
+        "payload_sha256": "0" * 64,
     }
-    header_bytes = json.dumps(header, sort_keys=True,
-                              separators=(",", ":")).encode("utf-8")
+
+    def encoded() -> bytes:
+        return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     f = open(tmp, "wb")
     try:
         with f:
+            f.seek(len(MAGIC) + 4 + len(encoded()))
+            header["payload_sha256"] = _hashed(_chunks(arrays), header["payload_nbytes"],
+                                               f.write)
+            header_bytes = encoded()
+            f.seek(0)
             f.write(MAGIC)
             f.write(np.uint32(len(header_bytes)).tobytes())
             f.write(header_bytes)
-            for arr in arrays:
-                f.write(arr)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -250,11 +309,14 @@ def load(path: str | Path):
             raise CheckpointError(f"{path}: truncated payload "
                                   f"({on_disk} of {nbytes} bytes)")
         payload = np.empty(nbytes // 4, dtype="<f4")
-        got = f.readinto(payload)
-        if got != nbytes:
-            raise CheckpointError(f"{path}: truncated payload "
-                                  f"({got} of {nbytes} bytes)")
-    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
+        start = f.tell()
+
+        def read(chunk: np.ndarray) -> None:
+            if f.readinto(chunk) != len(chunk):
+                raise CheckpointError(f"{path}: truncated payload "
+                                      f"({f.tell() - start} of {nbytes} bytes)")
+        digest = _hashed(_chunks([payload]), nbytes, read)
+    if digest != header["payload_sha256"]:
         raise CheckpointError(f"{path}: payload checksum mismatch")
 
     tensors = {e["name"]: payload[e["offset"] // 4:][:math.prod(e["shape"])]

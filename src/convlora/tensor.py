@@ -295,7 +295,8 @@ def _project(op: str, x: np.ndarray, w: np.ndarray, b: Tensor | None):
     with its leading axes flattened, w is [d, k] and b is [d].
 
     The checks name ``op``. The bias is added in place, so y keeps the
-    GEMM's dtype. Returns the [M, k] rows, the [M, d] output and the VJPs
+    GEMM's dtype. With at most d / 32 rows the GEMM runs weight-major, as
+    (w @ rows^T)^T. Returns the [M, k] rows, the [M, d] output and the VJPs
     for the rows, w and b; each VJP takes the output's gradient in any shape
     whose last axis is d.
     """
@@ -307,7 +308,17 @@ def _project(op: str, x: np.ndarray, w: np.ndarray, b: Tensor | None):
     if b is not None and b.shape != (d,):
         raise ShapeError(f"{op}: bias shape {b.shape} does not match ({d},)")
     rows = x.reshape(-1, k)
-    y = rows @ w.T
+    # with few rows OpenBLAS's NT path is slow; weight-major gave the same
+    # float32 bits on OpenBLAS 0.3.31 (Haswell kernels), which another BLAS
+    # need not; its copy costs more than it saves from ~192 rows on. The
+    # output is allocated before the product, so that freeing the product
+    # leaves no hole below the output in the heap (with the product first,
+    # the base workload's peak memory grew by up to 6 MB)
+    if 32 * len(rows) <= d:
+        y = np.empty((len(rows), d), np.result_type(rows, w))
+        y[...] = (w @ rows.T).T
+    else:
+        y = rows @ w.T
     if b is not None:
         y += b.data
     return rows, y, (lambda g: g.reshape(-1, d) @ w,

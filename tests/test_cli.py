@@ -494,14 +494,23 @@ def _os_error_argv(case, dataset, trained, tmp_path):
                 "--per-class", "1", "--image-size", "8"]
     if case == "output-dir-is-a-file":
         return _toy_train_args(dataset, tmp_path / "file", ["--lora.rank", "2"])
+    if case == "output-dir-under-a-file":
+        return _toy_train_args(dataset, tmp_path / "file" / "run", ["--lora.rank", "2"])
     return ["merge", "--base", str(trained["base"]), "--adapter", str(trained["adapter"]),
             "--out", str(tmp_path / "dir")]
 
 
 @pytest.mark.parametrize("case", ["checkpoint-is-a-directory", "synth-under-a-file",
-                                  "output-dir-is-a-file", "merge-onto-a-directory"])
-def test_os_errors_exit_2_with_one_line(case, dataset, trained, tmp_path, capsys):
+                                  "output-dir-is-a-file", "output-dir-under-a-file",
+                                  "merge-onto-a-directory"])
+def test_os_errors_exit_2_with_one_line(case, dataset, trained, tmp_path, capsys,
+                                        monkeypatch):
     argv = _os_error_argv(case, dataset, trained, tmp_path)
+
+    def train(*args, **kwargs):
+        raise AssertionError("train ran on an output path it cannot create")
+    # an output path that cannot be made fails before any training
+    monkeypatch.setattr(cli, "train", train)
     capsys.readouterr()
     assert run(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()

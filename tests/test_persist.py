@@ -1,9 +1,13 @@
 """Checkpoint round-trip, determinism, and corruption-detection tests."""
 
+import errno
 import hashlib
 import json
 import math
+import threading
+import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -517,3 +521,150 @@ class TestLayout:
         with pytest.raises(ValueError, match="shape"):
             persist.save(obj, tmp_path / "m.ckpt")
         assert list(tmp_path.iterdir()) == []
+
+
+# not a multiple of 4, so chunks also split float32 values
+SMALL_CHUNK = 700
+
+
+class _File:
+    """An open file whose ``readinto`` and ``write`` first sleep ``delay``
+    seconds, and raise OSError once ``fail_after`` calls have gone through."""
+
+    def __init__(self, f, fail_after: float = math.inf, delay: float = 0.0):
+        self._f, self._left, self._delay = f, fail_after, delay
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def _count(self):
+        time.sleep(self._delay)
+        self._left -= 1
+        if self._left < 0:
+            raise OSError(errno.EIO, "injected I/O error")
+
+    def readinto(self, b):
+        self._count()
+        return self._f.readinto(b)
+
+    def write(self, b):
+        self._count()
+        return self._f.write(b)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while the test runs."""
+    threads = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return threads
+
+
+@pytest.fixture
+def chunked(toy_model, tmp_path, monkeypatch, started):
+    """A base checkpoint saved in SMALL_CHUNK chunks: its path, payload
+    offset and payload size."""
+    monkeypatch.setattr(persist, "_CHUNK", SMALL_CHUNK)
+    path = tmp_path / "m.ckpt"
+    persist.save(toy_model, path)
+    nbytes = sum(t.data.size * 4 for t in toy_model.params.values())
+    assert nbytes > 100 * SMALL_CHUNK and len(started) == 1
+    return path, path.stat().st_size - nbytes, nbytes
+
+
+class TestChunkedChecksum:
+    def test_same_bytes_and_tensors_as_one_chunk(self, toy_model, chunked, tmp_path,
+                                                 monkeypatch, started):
+        path, _, _ = chunked
+        loaded = persist.load(path)
+        monkeypatch.setattr(persist, "_CHUNK", 8 << 20)
+        persist.save(toy_model, tmp_path / "one.ckpt")
+        assert path.read_bytes() == (tmp_path / "one.ckpt").read_bytes()
+        for name, t in toy_model.params.items():
+            assert np.array_equal(loaded.params[name].data, t.data), name
+        assert len(started) == 2
+
+    def test_a_flipped_byte_at_either_end_of_any_chunk_is_detected(self, chunked):
+        path, offset, nbytes = chunked
+        blob = path.read_bytes()
+        ends = {e for start in range(0, nbytes, SMALL_CHUNK)
+                for e in (start, min(start + SMALL_CHUNK, nbytes) - 1)}
+        for i in sorted(ends):
+            bad = bytearray(blob)
+            bad[offset + i] ^= 0x80
+            path.write_bytes(bytes(bad))
+            with pytest.raises(CheckpointError, match="checksum"):
+                persist.load(path)
+
+    @pytest.mark.parametrize("while_reading", [False, True],
+                             ids=["on-disk", "while-reading"])
+    @pytest.mark.parametrize("at", ["one-byte-short", "chunk-boundary"])
+    def test_truncation_is_detected(self, chunked, monkeypatch, at, while_reading):
+        path, offset, nbytes = chunked
+        full = path.stat().st_size
+        cut = nbytes - 1 if at == "one-byte-short" else (nbytes // SMALL_CHUNK // 2) * SMALL_CHUNK
+        path.write_bytes(path.read_bytes()[:offset + cut])
+        if while_reading:
+            # the size check passes, as if the file shrank after it
+            monkeypatch.setattr(persist.os, "fstat",
+                                lambda fd: types.SimpleNamespace(st_size=full))
+        with pytest.raises(CheckpointError,
+                           match=rf"truncated payload \({cut} of {nbytes} bytes\)"):
+            persist.load(path)
+
+    # the chunk that fails, as a share of the payload's chunks
+    @pytest.mark.parametrize("at", [0.0, 0.5, 1.0], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("op", ["load", "save"])
+    def test_an_io_error_mid_payload_propagates(self, toy_model, chunked, tmp_path,
+                                                 monkeypatch, started, op, at):
+        path, _, nbytes = chunked
+        threads = threading.active_count()
+        after = int(at * (math.ceil(nbytes / SMALL_CHUNK) - 1))
+        monkeypatch.setattr(persist, "open",
+                            lambda *a: _File(open(*a), fail_after=after), raising=False)
+        with pytest.raises(OSError, match="injected"):
+            if op == "load":
+                persist.load(path)
+            else:
+                persist.save(toy_model, tmp_path / "new.ckpt")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+        assert len(started) == 2 and not started[1].is_alive()
+        assert threading.active_count() == threads
+
+    def test_a_chunk_is_hashed_once_it_is_read(self, toy_model, chunked, monkeypatch):
+        # each read lets the hashing thread run first, and the payload
+        # buffer starts out uninitialised
+        path, _, _ = chunked
+        monkeypatch.setattr(persist, "_CHUNK", 20_000)
+        monkeypatch.setattr(persist, "open", lambda *a: _File(open(*a), delay=0.002),
+                            raising=False)
+        loaded = persist.load(path)
+        for name, t in toy_model.params.items():
+            assert np.array_equal(loaded.params[name].data, t.data), name
+
+    def test_no_thread_outlives_a_load_or_save(self, toy_model, chunked, started):
+        path, _, _ = chunked
+        threads = threading.active_count()
+        persist.load(path)
+        assert threading.active_count() == threads
+        persist.save(toy_model, path)
+        assert threading.active_count() == threads
+        assert len(started) == 3 and not any(t.is_alive() for t in started)
+
+    def test_a_one_chunk_payload_starts_no_thread(self, toy_model, tmp_path, started):
+        peft = inject(toy_model, r=2, alpha=4.0, seed=1)
+        for obj, name in ((toy_model, "base.ckpt"), (peft, "adapter.ckpt")):
+            persist.save(obj, tmp_path / name)
+            persist.load(tmp_path / name)
+        assert started == []

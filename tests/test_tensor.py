@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlora import tensor as T
+from convlora.backbone import base_config, tiny_test_config
 
 
 def t64(arr, requires_grad=True):
@@ -441,6 +442,38 @@ class TestOneProjection:
         nb = 5 if fault == "bias shape" else 4
         with pytest.raises(T.ShapeError, match=f"^{name}: "):
             op(T.Tensor(np.ones(xs)), T.Tensor(np.ones(ws)), T.Tensor(np.ones(nb)))
+
+    def test_few_rows_run_weight_major_with_the_same_bits(self):
+        # the projection runs (w @ rows^T)^T when 32 * rows <= d; pinned on
+        # both sides of that rule at the shapes the models project. The bits
+        # were measured equal on OpenBLAS 0.3.31 (scipy-openblas, Haswell
+        # kernels); a BLAS that rounds the two forms apart fails here, and
+        # its training bits then depend on the rule
+        shapes = set()
+        for batch in (1, 2, 4, 8, 16):
+            shapes |= _projection_shapes(base_config(10, image_size=32), batch)
+        shapes |= _projection_shapes(base_config(10, image_size=96), 2)
+        shapes |= _projection_shapes(tiny_test_config(), 1)
+        assert {32 * m <= d for m, d, _ in shapes} == {True, False}
+        rng = np.random.default_rng(3)
+        for m, d, k in sorted(shapes):
+            x, w = (rng.normal(size=s).astype(np.float32) for s in ((m, k), (d, k)))
+            y = T.linear(T.Tensor(x), T.Tensor(w)).data
+            assert y.flags.c_contiguous and np.array_equal(y, x @ w.T), (m, d, k)
+
+
+def _projection_shapes(config, batch: int) -> set[tuple[int, int, int]]:
+    """(rows, d, k) of every dense projection of ``config`` at ``batch``: the
+    stem, each stage's fc1 and fc2, each downsample and the head."""
+    dims, side = config.dims, config.image_size // 4
+    shapes = {(batch * side ** 2, dims[0], 3 * 4 * 4), (batch, config.num_classes, dims[-1])}
+    for i, c in enumerate(dims):
+        rows = batch * side ** 2
+        shapes |= {(rows, config.mlp_ratio * c, c), (rows, c, config.mlp_ratio * c)}
+        side //= 2
+        if i + 1 < len(dims):
+            shapes.add((batch * side ** 2, dims[i + 1], 4 * c))
+    return shapes
 
 
 # ---------------------------------------------------------------------------
