@@ -3,7 +3,10 @@
 Datasets are folder-per-class image trees (``root/<class>/<file>.ppm``). An
 optional ``root/groups.tsv`` (relative path TAB group key) marks samples
 that must never be separated across splits, e.g. frames of one source
-video. ``synth_domain`` writes such trees with a controllable distribution
+video. Its paths are written ``<class>/<file>``. A line without a key, a
+path that names no image of the tree, or a second key for one image is a
+``ValueError`` naming the line; a repeated identical line is accepted.
+``synth_domain`` writes such trees with a controllable distribution
 shift between domains for desk-scale cross-domain experiments.
 """
 
@@ -13,7 +16,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -102,17 +105,20 @@ def scan_dataset(root: str | Path) -> DatasetManifest:
     if not class_names:
         raise ValueError(f"dataset root {root} contains no class directories")
 
-    groups: dict[str, str] = {}
+    # relative path -> (group key, line number)
+    groups: dict[str, tuple[str, int]] = {}
     groups_file = root / "groups.tsv"
     if groups_file.is_file():
-        for line in groups_file.read_text().splitlines():
+        for n, line in enumerate(groups_file.read_text().splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             rel, _, key = line.partition("\t")
             if not key:
-                raise ValueError(f"groups.tsv line without a group key: {line!r}")
-            groups[rel] = key
+                raise ValueError(f"{groups_file} line {n} has no group key: {line!r}")
+            if groups.setdefault(rel, (key, n))[0] != key:
+                raise ValueError(f"{groups_file} line {n} gives {rel} a second group "
+                                 f"key, {key!r} after {groups[rel][0]!r}")
 
     samples: list[Sample] = []
     for class_id, name in enumerate(class_names):
@@ -120,15 +126,20 @@ def scan_dataset(root: str | Path) -> DatasetManifest:
         with os.scandir(class_dir) as entries:
             files = sorted(e.name for e in entries if e.is_file())
         for file in files:
-            path = f"{class_dir}/{file}"
             stem, _, suffix = file.rpartition(".")
             if not stem or suffix.lower() not in ("ppm", "png"):
                 raise images.ImageFormatError(
-                    f"unsupported file in dataset tree: {path}")
-            samples.append(Sample(path=path, class_id=class_id,
-                                  group_key=groups.get(f"{name}/{file}")))
+                    f"unsupported file in dataset tree: {class_dir}/{file}")
+        keys = ([groups.pop(f"{name}/{file}", (None,))[0] for file in files] if groups
+                else [None] * len(files))
+        samples += map(Sample, [f"{class_dir}/{file}" for file in files],
+                       [class_id] * len(files), keys)
     if not samples:
         raise ValueError(f"dataset root {root} contains no images")
+    # each image popped its line, so what is left names no image
+    if groups:
+        rel, (_, n) = next(iter(groups.items()))
+        raise ValueError(f"{groups_file} line {n} marks no image of the tree: {rel!r}")
     return DatasetManifest(samples=samples, class_names=class_names, root=str(root))
 
 
@@ -155,7 +166,7 @@ def split(manifest: DatasetManifest, ratios: tuple[float, float, float] = (0.8, 
         raise ValueError(f"ratios must be finite and non-negative, got {tuple(ratios)}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
-    out = [replace(s) for s in manifest.samples]
+    out = [Sample(s.path, s.class_id, s.group_key, s.split) for s in manifest.samples]
     rng = np.random.default_rng(seed)
 
     if by_group:
@@ -176,24 +187,25 @@ def split(manifest: DatasetManifest, ratios: tuple[float, float, float] = (0.8, 
                 out[i].split = SPLITS[j]
             filled[j] += len(members)
     else:
+        # ids outside [0, num_classes) get no split, and validate rejects them
+        by_class: dict[int, list[int]] = {}
+        for i, s in enumerate(out):
+            by_class.setdefault(s.class_id, []).append(i)
         for class_id in range(manifest.num_classes):
-            idx = [i for i, s in enumerate(out) if s.class_id == class_id]
+            idx = by_class.get(class_id)
             if not idx:
                 continue
             if len(idx) < len(SPLITS):
                 warnings.warn(
                     f"class {manifest.class_names[class_id]!r} has only "
                     f"{len(idx)} samples; placing all in train")
-                for i in idx:
-                    out[i].split = "train"
-                continue
-            idx = np.array(idx)
-            rng.shuffle(idx)
-            counts = _apportion(len(idx), ratios)
+                counts = [len(idx), 0, 0]
+            else:
+                idx, counts = rng.permutation(idx).tolist(), _apportion(len(idx), ratios)
             pos = 0
             for split_name, n in zip(SPLITS, counts):
-                for i in idx[pos : pos + n]:
-                    out[int(i)].split = split_name
+                for i in idx[pos:pos + n]:
+                    out[i].split = split_name
                 pos += n
 
     result = DatasetManifest(samples=out, class_names=list(manifest.class_names),

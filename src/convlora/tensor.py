@@ -523,11 +523,11 @@ def _depthwise(x: np.ndarray, k: Tensor, b: Tensor | None, pad: int):
         return _shift_sum(gp, taps[::-1, ::-1], h, w)
 
     def vjp_k(g):
+        # win[p, q] is the input window that live tap (p, q) multiplies
+        win = np.lib.stride_tricks.sliding_window_view(
+            xp, (ho, wo), axis=(1, 2)).transpose(1, 2, 0, 4, 5, 3)
         dk = np.zeros_like(k.data)
-        for p in range(lh):
-            for q in range(lw):
-                dk[:, 0, i0 + p, j0 + q] = np.einsum(
-                    "nhwc,nhwc->c", xp[:, p:p + ho, q:q + wo], g)
+        dk[:, 0, i0:i1, j0:j1] = np.einsum("pqnhwc,nhwc->pqc", win, g).transpose(2, 0, 1)
         return dk
 
     return y, vjp_x, vjp_k, lambda g: g.sum(axis=(0, 1, 2))
@@ -541,12 +541,12 @@ def depthwise_conv2d_nhwc(x: Tensor, k: Tensor, b: Tensor | None = None,
 
     The forward and the input gradient are one shifted multiply-accumulate
     per live tap, each over the whole map with channels innermost; the
-    kernel gradient is one channel reduction per live tap. Taps that only
-    ever see zero padding (a map smaller than the kernel's reach, e.g. 7x7
-    taps at pad 3 on a 1x1 or 2x2 map) are skipped: the input is padded only
-    as far as the remaining taps reach, and the kernel gradient of a skipped
-    tap is exactly zero. The input gradient is computed at the H x W input
-    positions only, never over the padding.
+    kernel gradient is one einsum over the live taps' input windows. Taps
+    that only ever see zero padding (a map smaller than the kernel's reach,
+    e.g. 7x7 taps at pad 3 on a 1x1 or 2x2 map) are skipped: the input is
+    padded only as far as the remaining taps reach, and the kernel gradient
+    of a skipped tap is exactly zero. The input gradient is computed at the
+    H x W input positions only, never over the padding.
     """
     if x.data.ndim != 4:
         raise ShapeError("depthwise_conv2d_nhwc: input must be 4-D")

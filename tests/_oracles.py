@@ -284,3 +284,65 @@ def read_pgm_bytewise(path):
         raise ImageFormatError(f"truncated pixel data in {path}")
     return np.frombuffer(data, dtype=np.uint8, count=need,
                          offset=offset).reshape(height, width).copy()
+
+
+def split_rescanning_classes(manifest, ratios=(0.8, 0.1, 0.1), seed=0, by_group=False):
+    """``data.split`` as it was written before it went one pass: each sample
+    copied with ``dataclasses.replace``, and all samples rescanned once per
+    class. The reference the one-pass split must match."""
+    import warnings
+    from dataclasses import replace
+
+    from convlora.data import SPLITS, DatasetManifest, _apportion
+
+    if len(ratios) != 3:
+        raise ValueError("ratios must have three entries (train, val, test)")
+    if not all(math.isfinite(r) and r >= 0 for r in ratios):
+        raise ValueError(f"ratios must be finite and non-negative, got {tuple(ratios)}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+    out = [replace(s) for s in manifest.samples]
+    rng = np.random.default_rng(seed)
+
+    if by_group:
+        group_members = {}
+        for i, s in enumerate(out):
+            key = s.group_key if s.group_key is not None else f"__solo_{i}"
+            group_members.setdefault(key, []).append(i)
+        keys = sorted(group_members)
+        rng.shuffle(keys)
+        total = len(out)
+        targets = [total * r for r in ratios]
+        filled = [0, 0, 0]
+        for key in keys:
+            members = group_members[key]
+            deficits = [targets[j] - filled[j] for j in range(3)]
+            j = max(range(3), key=lambda jj: (deficits[jj], -jj))
+            for i in members:
+                out[i].split = SPLITS[j]
+            filled[j] += len(members)
+    else:
+        for class_id in range(manifest.num_classes):
+            idx = [i for i, s in enumerate(out) if s.class_id == class_id]
+            if not idx:
+                continue
+            if len(idx) < len(SPLITS):
+                warnings.warn(
+                    f"class {manifest.class_names[class_id]!r} has only "
+                    f"{len(idx)} samples; placing all in train")
+                for i in idx:
+                    out[i].split = "train"
+                continue
+            idx = np.array(idx)
+            rng.shuffle(idx)
+            counts = _apportion(len(idx), ratios)
+            pos = 0
+            for split_name, n in zip(SPLITS, counts):
+                for i in idx[pos : pos + n]:
+                    out[int(i)].split = split_name
+                pos += n
+
+    result = DatasetManifest(samples=out, class_names=list(manifest.class_names),
+                             root=manifest.root)
+    result.validate()
+    return result

@@ -588,6 +588,12 @@ MALFORMED = [
     pytest.param("train", ["--lora.rank", "2", "--lora.alpha", "inf"],
                  id="train-alpha-inf"),
     pytest.param("config", {"lora": {"alpha": 10**400}}, id="json-alpha-huge-int"),
+    # a groups.tsv line that marks nothing, or a second key for one image
+    pytest.param("groups", "c00_disk/img_00001.ppm\tvidA\n./c00_disk/img_00002.ppm\tvidA\n",
+                 id="groups-dot-slash-path"),
+    pytest.param("groups", "c00_disk/img_00099.ppm\tvidA\n", id="groups-unknown-image"),
+    pytest.param("groups", "c00_disk/img_00003.ppm\tvidA\nc00_disk/img_00003.ppm\tvidC\n",
+                 id="groups-two-keys"),
 ]
 
 
@@ -600,6 +606,12 @@ def test_malformed_invocation_exits_2_with_one_line(command, extra, dataset,
         argv = ["params", "--config", str(config)]
     elif command == "train":
         argv = _toy_train_args(dataset, tmp_path / "run", extra)
+    elif command == "groups":
+        root = tmp_path / "grouped"
+        shutil.copytree(dataset, root)
+        (root / "groups.tsv").write_text(extra)
+        argv = _toy_train_args(root, tmp_path / "run",
+                               ["--lora.rank", "2", "--data.by_group", "true"])
     elif command == "saliency":
         argv = ["saliency", "--checkpoint", str(request.getfixturevalue("trained")["base"]),
                 "--image", str(min(dataset.rglob("*.ppm"))),
@@ -610,7 +622,7 @@ def test_malformed_invocation_exits_2_with_one_line(command, extra, dataset,
     assert run(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
-    if command == "train":
+    if command in ("train", "groups"):
         assert not (tmp_path / "run").exists()
 
 

@@ -1,5 +1,6 @@
 """Tests for image codecs, dataset scanning, splitting, and augmentation."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (load_batch_per_sample, read_pgm_bytewise, read_ppm_bytewise,
-                      rotate_bilinear_per_image)
+                      rotate_bilinear_per_image, split_rescanning_classes)
 from convlora import data as D
 from convlora import images as I
 
@@ -300,6 +301,37 @@ class TestScanDataset:
         assert keys[:3] == ["vidA", "vidA", "vidB"]
         assert keys[3:] == [None, None, None]
 
+    @pytest.mark.parametrize("line", ["benign/img_9.ppm\tvidA", "benign/\tvidA",
+                                      "./benign/img_1.ppm\tvidA", "img_1.ppm\tvidA",
+                                      "benign\\img_1.ppm\tvidA"],
+                             ids=["unknown-file", "class-dir", "dot-slash", "no-class",
+                                  "backslash"])
+    def test_groups_tsv_path_that_names_no_image(self, small_tree, line):
+        # only ``<class>/<file>`` of a scanned image counts; a line that marks
+        # nothing would leave its frame free to land in any split
+        (small_tree / "groups.tsv").write_text(f"benign/img_0.ppm\tvidA\n\n{line}\n")
+        with pytest.raises(ValueError, match=r"groups\.tsv line 3 marks no image"):
+            D.scan_dataset(small_tree)
+
+    def test_groups_tsv_second_key_for_one_image(self, small_tree):
+        (small_tree / "groups.tsv").write_text(
+            "# clips\nbenign/img_0.ppm\tvidA\nbenign/img_1.ppm\tvidA\n"
+            "benign/img_1.ppm\tvidC\n")
+        with pytest.raises(ValueError, match=r"groups\.tsv line 4 gives benign/img_1\.ppm "
+                                             r"a second group key, 'vidC' after 'vidA'"):
+            D.scan_dataset(small_tree)
+
+    def test_groups_tsv_repeated_identical_line(self, small_tree):
+        (small_tree / "groups.tsv").write_text(
+            "polyp/img_2.ppm\tvidB\npolyp/img_2.ppm\tvidB\n")
+        keys = [s.group_key for s in D.scan_dataset(small_tree).samples]
+        assert keys == [None] * 5 + ["vidB"]
+
+    def test_groups_tsv_line_without_key(self, small_tree):
+        (small_tree / "groups.tsv").write_text("benign/img_0.ppm\tvidA\nbenign/img_1.ppm\n")
+        with pytest.raises(ValueError, match=r"groups\.tsv line 2 has no group key"):
+            D.scan_dataset(small_tree)
+
 
 def _manifest(per_class, num_classes=2, groups=None):
     samples = []
@@ -340,6 +372,14 @@ class TestSplit:
         out = D.split(_manifest(10, groups=groups), seed=3, by_group=True)
         assert len({s.split for s in out.samples}) == 1
 
+    @pytest.mark.parametrize("by_group", [False, True])
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_class_id_outside_the_names(self, bad, by_group):
+        m = _manifest(10)
+        m.samples[3].class_id = bad
+        with pytest.raises(ValueError, match="class ids must be dense"):
+            D.split(m, by_group=by_group)
+
     def test_bad_ratios(self):
         with pytest.raises(ValueError):
             D.split(_manifest(10), ratios=(0.5, 0.2, 0.2))
@@ -373,6 +413,44 @@ class TestSplit:
         for s in out.samples:
             seen.setdefault(s.group_key, set()).add(s.split)
         assert all(len(v) == 1 for v in seen.values())
+
+    @given(sizes=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6),
+           keys=st.none() | st.integers(min_value=1, max_value=8),
+           by_group=st.booleans(),
+           cuts=st.tuples(st.integers(0, 20), st.integers(0, 20)).map(sorted),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           order_seed=st.integers(min_value=0, max_value=99))
+    @settings(max_examples=150, deadline=None)
+    def test_same_assignment_as_rescanning_each_class(self, sizes, keys, by_group, cuts,
+                                                      seed, order_seed):
+        # classes below 3 samples, empty classes, shuffled sample order, some
+        # samples without a group key, and splits already set on the input
+        rng = np.random.default_rng(order_seed)
+        samples = [D.Sample(f"c{c}/{i}.ppm", c,
+                            None if keys is None or rng.random() < 0.2
+                            else f"g{rng.integers(keys)}",
+                            D.SPLITS[rng.integers(3)] if rng.random() < 0.3 else None)
+                   for c, n in enumerate(sizes) for i in range(n)]
+        samples = [samples[i] for i in rng.permutation(len(samples))]
+        m = D.DatasetManifest(samples, [f"c{c}" for c in range(len(sizes))], "root")
+        ratios = (cuts[0] / 20, (cuts[1] - cuts[0]) / 20, (20 - cuts[1]) / 20)
+        def rows(ss):
+            return [(s.path, s.class_id, s.group_key, s.split) for s in ss]
+
+        before = rows(samples)
+
+        def outcome(split):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    out = split(m, ratios, seed=seed, by_group=by_group)
+                    result = rows(out.samples), out.class_names, out.root
+                except ValueError as e:
+                    result = str(e)
+            assert rows(samples) == before
+            return result, [(w.category, str(w.message)) for w in caught]
+
+        assert outcome(D.split) == outcome(split_rescanning_classes)
 
 
 class TestLoadBatch:
