@@ -311,12 +311,13 @@ def cmd_train(args) -> int:
                           f"dataset {data['root']} has {num_classes} classes")
     if base is None:
         base = build_model(model_config, seed=cfg["model"]["seed"])
-    base.class_names = manifest.class_names
 
     model = base
     if lora_cfg["enabled"]:
         model = inject(base, **_lora_settings(cfg, base.config),
                        seed=cfg["model"]["seed"], num_classes=num_classes)
+    # after inject, which drops the base's names with a head of another size
+    (model.base if lora_cfg["enabled"] else model).class_names = manifest.class_names
 
     best, history = train(model, manifest, train_cfg, augment)
 

@@ -198,7 +198,8 @@ def with_trainables(model, arrays: dict[str, np.ndarray], **fields):
 
 def _task_base(model: Model, seed: int, num_classes: int | None) -> Model:
     """The frozen base with a trainable head: a copy of the model's own, or a
-    fresh one seeded by (seed, 0x6EAD) for a different class count."""
+    fresh one seeded by (seed, 0x6EAD) for a different class count, whose
+    outputs the base's class names do not name."""
     if num_classes is None or num_classes == model.config.num_classes:
         return with_trainables(model, {n: model.params[n].data.copy()
                                        for n in ("head.weight", "head.bias")})
@@ -206,7 +207,7 @@ def _task_base(model: Model, seed: int, num_classes: int | None) -> Model:
     return with_trainables(
         model, {"head.weight": trunc_normal(head_rng, (num_classes, model.config.dims[3])),
                 "head.bias": np.zeros(num_classes, dtype=np.float32)},
-        config=replace(model.config, num_classes=num_classes))
+        config=replace(model.config, num_classes=num_classes), class_names=None)
 
 
 def head_only(model: Model, seed: int = 0, num_classes: int | None = None) -> PeftModel:

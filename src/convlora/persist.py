@@ -4,20 +4,24 @@ Layout: an 8-byte magic (``CVLORA01``), a little-endian uint32 header
 length, a UTF-8 JSON header, then the payload of concatenated little-endian
 float32 tensors in header index order. The header carries the kind
 (base/adapter), the architecture config, adapter settings when relevant,
-class names, a per-tensor index (name, shape, dtype, offset), and a SHA-256
-of the payload that is verified on load. The index is a function of the
-kind, config and adapter settings (``_layout``): ``save`` writes it, and
-``load`` accepts no other. No timestamps and sorted JSON keys keep
-the bytes identical for identical inputs; writes go through a temp file and
-an atomic rename.
+class names, a per-tensor index (name, shape, dtype, offset), and a
+checksum that is verified on load. The index is a function of the kind,
+config and adapter settings (``_layout``): ``save`` writes it, and ``load``
+accepts no other. No timestamps and sorted JSON keys keep the bytes
+identical for identical inputs; writes go through a temp file and an atomic
+rename.
 
-A payload larger than ``_CHUNK`` is hashed on a second thread while it is
-read or written: the file moves ``_CHUNK`` bytes at a time, and the worker
-feeds each finished chunk, in order, to the SHA-256 (both release the GIL).
+The checksum (format version 2, header field ``CHECKSUM``) is the SHA-256
+of every byte before the payload, with the field's own 64 hex characters
+written as ``_STAND_IN``, followed by the 32-byte SHA-256 of each tensor's
+bytes, in layout order. So it covers every byte of the file, and the tensor
+digests can be computed apart. Above one ``_CHUNK`` a worker thread hashes
+tensors while the file moves ``_CHUNK`` bytes at a time (both release the
+GIL), and once the payload has moved, this thread hashes what is left.
 ``save`` writes the payload first, after room for a header whose length is
-already known (the digest is always 64 hex characters), then seeks back and
-writes the magic, the length and the header. A smaller payload is hashed
-inline, with no thread.
+already known, then seeks back and writes the magic, the length and the
+header. A version 1 file, whose checksum is the SHA-256 of the payload
+alone, still loads; ``save`` writes version 2 only.
 """
 
 from __future__ import annotations
@@ -40,9 +44,13 @@ from .lora import LoraAdapter, PeftModel, with_trainables
 from .tensor import Tensor
 
 MAGIC = b"CVLORA01"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 CREATED_BY = "convlora 0.1.0"
-# the bytes the file moves between handoffs to the hashing thread
+# the header field of the version 2 checksum, and the value it is computed
+# with; version 1's field held the payload's SHA-256
+CHECKSUM = "header_and_tensors_sha256"
+_STAND_IN = "0" * 64
+# the bytes the file moves at a time
 _CHUNK = 8 << 20
 
 
@@ -84,42 +92,62 @@ def _chunks(arrays: list[np.ndarray]):
             yield flat[start:start + _CHUNK]
 
 
-def _hashed(chunks, nbytes: int, move) -> str:
+def _tensor_digests(chunks, move, leaves: list[np.ndarray], ready: list[int]) -> list[bytes]:
     """Call ``move`` (a read or a write) on each of ``chunks`` in order, and
-    return the SHA-256 hex digest of their ``nbytes`` bytes as they stand
-    after it. Above one ``_CHUNK`` a worker thread hashes each chunk once
-    ``move`` is done with it; an exception from ``move`` stops the worker,
-    which is joined before the exception propagates."""
-    digest = hashlib.sha256()
-    if nbytes <= _CHUNK:
+    return the SHA-256 digest of the bytes of each of ``leaves`` (contiguous
+    arrays) as they stand after it. Leaf i may be hashed once ``ready[i]``
+    bytes have moved. Above one ``_CHUNK`` a worker thread claims leaves in
+    order while the chunks move, and then this thread claims the rest from
+    the same counter. An exception stops the worker, which is joined before
+    the exception propagates."""
+    digests = [b""] * len(leaves)
+    order = iter(range(len(leaves)))
+    moved, failed = 0, False
+
+    def hash_claimed(claim) -> None:
+        while (i := claim()) is not None:
+            digests[i] = hashlib.sha256(leaves[i]).digest()
+
+    if sum(leaf.nbytes for leaf in leaves) <= _CHUNK:
         for chunk in chunks:
             move(chunk)
-            digest.update(chunk)
-        return digest.hexdigest()
-    chunks = list(chunks)
-    moved = threading.Semaphore(0)
-    failed = threading.Event()
+        hash_claimed(lambda: next(order, None))
+        return digests
+    progress = threading.Condition()
 
-    def hash_moved() -> None:
-        for chunk in chunks:
-            moved.acquire()
-            if failed.is_set():
-                return
-            digest.update(chunk)
+    def claim() -> int | None:
+        # the next leaf once its bytes have moved; None when none is left
+        # or a move failed
+        with progress:
+            i = next(order, None)
+            if i is not None:
+                progress.wait_for(lambda: moved >= ready[i] or failed)
+            return None if failed else i
 
-    worker = threading.Thread(target=hash_moved, name="checkpoint-sha256", daemon=True)
+    worker = threading.Thread(target=hash_claimed, args=(claim,),
+                              name="checkpoint-sha256", daemon=True)
     worker.start()
     try:
         for chunk in chunks:
             move(chunk)
-            moved.release()
+            with progress:
+                moved += len(chunk)
+                progress.notify()
+        hash_claimed(claim)
     except BaseException:
-        failed.set()
-        moved.release()
+        with progress:
+            failed = True
+            progress.notify()
         raise
     finally:
         worker.join()
-    return digest.hexdigest()
+    return digests
+
+
+def _checksum(head: bytes, digests: list[bytes]) -> str:
+    """The version 2 checksum of the bytes before the payload, with the
+    checksum field's value written as ``_STAND_IN``, and the tensor digests."""
+    return hashlib.sha256(head + b"".join(digests)).hexdigest()
 
 
 def save(obj, path: str | Path) -> None:
@@ -153,27 +181,26 @@ def save(obj, path: str | Path) -> None:
         "created_by": CREATED_BY,
         "tensors": entries,
         "payload_nbytes": sum(arr.nbytes for arr in arrays),
-        # a stand-in of the digest's length, so that the payload can be
-        # written before it is hashed
-        "payload_sha256": "0" * 64,
+        # the checksum has the stand-in's length, so the payload can be
+        # written before it is known
+        CHECKSUM: _STAND_IN,
     }
 
-    def encoded() -> bytes:
-        return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    def head() -> bytes:
+        raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return MAGIC + np.uint32(len(raw)).tobytes() + raw
 
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     f = open(tmp, "wb")
     try:
         with f:
-            f.seek(len(MAGIC) + 4 + len(encoded()))
-            header["payload_sha256"] = _hashed(_chunks(arrays), header["payload_nbytes"],
-                                               f.write)
-            header_bytes = encoded()
+            draft = head()
+            f.seek(len(draft))
+            digests = _tensor_digests(_chunks(arrays), f.write, arrays, [0] * len(arrays))
+            header[CHECKSUM] = _checksum(draft, digests)
             f.seek(0)
-            f.write(MAGIC)
-            f.write(np.uint32(len(header_bytes)).tobytes())
-            f.write(header_bytes)
+            f.write(head())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -228,13 +255,14 @@ def _read_header(path, header_bytes: bytes) -> tuple[dict, ModelConfig, list[dic
         raise CheckpointError(f"{path}: unreadable header: {e}") from e
     if not _typed(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported format version {header.get('format_version')}")
+    version = header.get("format_version")
+    if not (_typed(version, int) and version in (1, FORMAT_VERSION)):
+        raise CheckpointError(f"{path}: unsupported format version {version}")
     for key, types in (("kind", (str,)), ("model_config", (dict,)),
                        ("tensors", (list,)), ("payload_nbytes", (int,)),
-                       ("payload_sha256", (str,)), ("class_names", (list, type(None)))):
-        if not _typed(header.get(key), *types):
+                       (CHECKSUM if version == FORMAT_VERSION else "payload_sha256", (str,)),
+                       ("class_names", (list, type(None)))):
+        if key not in header or not _typed(header[key], *types):
             raise CheckpointError(f"{path}: header field {key!r} is missing or "
                                   f"not a {'/'.join(t.__name__ for t in types)}")
     if header["kind"] not in ("base", "adapter"):
@@ -278,6 +306,11 @@ def _read_header(path, header_bytes: bytes) -> tuple[dict, ModelConfig, list[dic
     return header, config, layout
 
 
+def _written(value: str) -> bytes:
+    """The checksum field with ``value``, as save's JSON writes it."""
+    return json.dumps({CHECKSUM: value}, separators=(",", ":"))[1:-1].encode("utf-8")
+
+
 def load(path: str | Path):
     """Read a checkpoint; returns a Model or an AdapterCheckpoint.
 
@@ -293,13 +326,17 @@ def load(path: str | Path):
         if len(prefix) < len(MAGIC) + 4 or prefix[: len(MAGIC)] != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
         header_len = int.from_bytes(prefix[len(MAGIC):], "little")
+        size = os.fstat(f.fileno()).st_size
+        # before the read, which allocates the length it is given
+        if len(prefix) + header_len > size:
+            raise CheckpointError(f"{path}: truncated header")
         header_bytes = f.read(header_len)
         if len(header_bytes) < header_len:
             raise CheckpointError(f"{path}: truncated header")
         header, config, layout = _read_header(path, header_bytes)
 
         nbytes = header["payload_nbytes"]
-        on_disk = os.fstat(f.fileno()).st_size - f.tell()
+        on_disk = size - f.tell()
         if on_disk > nbytes:
             raise CheckpointError(f"{path}: {on_disk - nbytes} trailing bytes "
                                   f"after the payload")
@@ -309,18 +346,27 @@ def load(path: str | Path):
             raise CheckpointError(f"{path}: truncated payload "
                                   f"({on_disk} of {nbytes} bytes)")
         payload = np.empty(nbytes // 4, dtype="<f4")
+        tensors = {e["name"]: payload[e["offset"] // 4:][:math.prod(e["shape"])]
+                   .reshape(e["shape"]) for e in layout}
         start = f.tell()
 
         def read(chunk: np.ndarray) -> None:
             if f.readinto(chunk) != len(chunk):
                 raise CheckpointError(f"{path}: truncated payload "
                                       f"({f.tell() - start} of {nbytes} bytes)")
-        digest = _hashed(_chunks([payload]), nbytes, read)
-    if digest != header["payload_sha256"]:
-        raise CheckpointError(f"{path}: payload checksum mismatch")
-
-    tensors = {e["name"]: payload[e["offset"] // 4:][:math.prod(e["shape"])]
-               .reshape(e["shape"]) for e in layout}
+        if header["format_version"] == 1:
+            for chunk in _chunks([payload]):
+                read(chunk)
+            valid = hashlib.sha256(payload).hexdigest() == header["payload_sha256"]
+        else:
+            leaves = list(tensors.values())
+            digests = _tensor_digests(_chunks([payload]), read, leaves,
+                                      list(itertools.accumulate(t.nbytes for t in leaves)))
+            stored = header[CHECKSUM]
+            draft = prefix + header_bytes.replace(_written(stored), _written(_STAND_IN), 1)
+            valid = _checksum(draft, digests) == stored
+    if not valid:
+        raise CheckpointError(f"{path}: checksum mismatch")
 
     class_names = header["class_names"]
     if header["kind"] == "base":

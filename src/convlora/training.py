@@ -23,6 +23,10 @@ from .lora import PeftModel, model_forward, with_trainables
 from .metrics import MetricsReport
 from .tensor import Tensor
 
+# the batch size that eval, cross-eval and validation score in; a sample's
+# logits depend on its batch's size in their last bits
+EVAL_BATCH_SIZE = 32
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -149,7 +153,10 @@ def train(model, manifest: DatasetManifest, cfg: TrainConfig,
     for epoch in range(1, cfg.max_epochs + 1):
         tic = time.monotonic()
         order = train_idx.copy()
-        np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, 1])).shuffle(order)
+        # SeedSequence pads a key with zeros to four words, so a fourth word
+        # of 3 keeps this key off every augmentation key [seed, epoch, sample]
+        # and every dropout key [seed, epoch, step, 2]
+        np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, 0, 3])).shuffle(order)
         losses = []
         for step in range(0, len(order), cfg.batch_size):
             batch = order[step : step + cfg.batch_size]
@@ -177,8 +184,9 @@ def train(model, manifest: DatasetManifest, cfg: TrainConfig,
             val_acc = float(val_metric_fn(epoch))
             val_loss = float("nan")
         else:
-            val_report, val_loss = _evaluate_with_loss(model, manifest, "val",
-                                                       augment, cfg.batch_size)
+            # so that eval scores a checkpoint as the validation that chose it
+            val_report, val_loss = _evaluate_with_loss(model, manifest, "val", augment,
+                                                       EVAL_BATCH_SIZE)
             val_acc = val_report.accuracy
         history.epochs.append(EpochStats(
             epoch=epoch, train_loss=float(np.mean(losses)), val_loss=val_loss,
@@ -196,7 +204,7 @@ def train(model, manifest: DatasetManifest, cfg: TrainConfig,
 
 
 def predict(model, manifest: DatasetManifest, split_name: str,
-            augment: AugmentConfig | None = None, batch_size: int = 32):
+            augment: AugmentConfig | None = None, batch_size: int = EVAL_BATCH_SIZE):
     """Eval-mode predictions: (sample indices, labels, argmax preds, scores)."""
     if augment is None:
         augment = AugmentConfig(resize=model.config.image_size)
@@ -231,7 +239,7 @@ def _evaluate_with_loss(model, manifest, split_name, augment, batch_size):
 
 def evaluate(model, manifest: DatasetManifest, split_name: str = "test",
              augment: AugmentConfig | None = None,
-             batch_size: int = 32) -> MetricsReport:
+             batch_size: int = EVAL_BATCH_SIZE) -> MetricsReport:
     """Eval-mode forward over a split, reduced to a full metrics report."""
     report, _ = _evaluate_with_loss(model, manifest, split_name, augment, batch_size)
     return report
@@ -274,7 +282,7 @@ def class_mapping(model, dataset_names: list[str]) -> np.ndarray:
 
 def cross_eval(models, datasets: list[DatasetManifest],
                split_name: str = "test", augment: AugmentConfig | None = None,
-               batch_size: int = 32) -> np.ndarray:
+               batch_size: int = EVAL_BATCH_SIZE) -> np.ndarray:
     """Accuracy matrix: entry (i, j) is model i evaluated on dataset j.
 
     Model and dataset vocabularies are aligned by class name; a name missing

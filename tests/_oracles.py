@@ -5,6 +5,8 @@ plain counters, doing the ratio arithmetic in exact rationals (as the
 library documents), sharing no code with it.
 """
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -346,3 +348,51 @@ def split_rescanning_classes(manifest, ratios=(0.8, 0.1, 0.1), seed=0, by_group=
                              root=manifest.root)
     result.validate()
     return result
+
+
+def _checkpoint_head(header):
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return b"CVLORA01" + len(raw).to_bytes(4, "little") + raw
+
+
+def checkpoint_v2_bytes(header, payload, tensors):
+    """A format version 2 checkpoint file of ``header`` and ``payload``.
+
+    Its checksum follows the format's definition: the SHA-256 of the magic,
+    the header length and the header with the checksum field's value written
+    as 64 zeros, followed by the 32-byte SHA-256 of each tensor's bytes, the
+    tensors cut from ``payload`` by the offsets and shapes of ``tensors``,
+    in that order."""
+    field = "header_and_tensors_sha256"
+    checksum = hashlib.sha256(_checkpoint_head({**header, field: "0" * 64}))
+    for entry in tensors:
+        start = entry["offset"]
+        end = start + 4 * math.prod(entry["shape"])
+        checksum.update(hashlib.sha256(payload[start:end]).digest())
+    return _checkpoint_head({**header, field: checksum.hexdigest()}) + payload
+
+
+def save_v1(obj, path):
+    """The format version 1 writer: the same layout and header fields as
+    version 2, but its checksum, ``payload_sha256``, is the SHA-256 of the
+    payload alone."""
+    from convlora import persist
+    from convlora.lora import PeftModel
+
+    if isinstance(obj, PeftModel):
+        kind, named = "adapter", obj.trainable_params()
+        some = next(iter(obj.adapters.values()), None)
+        lora = None if some is None else {
+            "rank": some.rank, "alpha": some.alpha, "dropout_p": some.dropout_p,
+            "targets": sorted(obj.adapters)}
+    else:
+        kind, named, lora = "base", obj.params, None
+    tensors = persist._layout(kind, obj.config, lora)
+    payload = b"".join(np.ascontiguousarray(named[e["name"]].data, dtype="<f4").tobytes()
+                       for e in tensors)
+    header = {"format_version": 1, "kind": kind, "model_config": obj.config.to_dict(),
+              "lora": lora, "class_names": obj.class_names,
+              "created_by": "convlora 0.1.0", "tensors": tensors,
+              "payload_nbytes": len(payload),
+              "payload_sha256": hashlib.sha256(payload).hexdigest()}
+    Path(path).write_bytes(_checkpoint_head(header) + payload)

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_persist import (LAYOUT_BREAKS, _edit_header, _huge_rank, _rename,
-                          _swap_names)
+                          _swap_class_names, _swap_names)
 
 from convlora import images as I
-from convlora import backbone, cli, data, persist
+from convlora import backbone, cli, data, lora, persist
 from convlora.data import AugmentConfig
 from convlora.tensor import Tensor
 from convlora.cli import main
@@ -725,6 +725,53 @@ def test_class_names_not_one_per_output_exit_4_with_one_line(command, outputs, n
     assert run([command, "--checkpoint", str(path), "--data", str(dataset)]) == 4
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("compatibility error: "), err
+
+
+def test_swapped_class_names_exit_2_with_one_line(dataset, tmp_path, capsys):
+    # the checksum covers the header: the file would otherwise load and
+    # misname every prediction
+    names = data.scan_dataset(dataset).class_names
+    path = tmp_path / "model.ckpt"
+    persist.save(backbone.build_model(backbone.tiny_test_config(num_classes=len(names)),
+                                      seed=0, class_names=names), path)
+    _edit_header(path, _swap_class_names, sign=False)
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", str(path), "--data", str(dataset)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "checksum" in err[0], err
+
+
+@pytest.fixture(scope="module")
+def four_classes(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ds") / "four"
+    assert run(["synth", "--out", str(root), "--classes", "4", "--per-class", "12",
+                "--image-size", "32", "--seed", "5"]) == 0
+    return root
+
+
+def test_a_head_for_another_class_count_is_not_misnamed(trained, four_classes, tmp_path,
+                                                         capsys):
+    # the 3-class base's names do not name a 4-output head, so the file
+    # records none, and eval says so instead of naming outputs by them
+    path = tmp_path / "head.ckpt"
+    persist.save(lora.head_only(persist.load(trained["base"]), num_classes=4), path)
+    assert persist.load(path).class_names is None
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", str(path), "--base", str(trained["base"]),
+                "--data", str(four_classes)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "no class vocabulary" in err[0], err
+
+
+def test_init_from_another_class_count_names_the_new_head(trained, four_classes,
+                                                          tmp_path):
+    out = tmp_path / "run"
+    assert run(_toy_train_args(four_classes, out, ["--lora.rank", "2", "--init_from",
+                                                   str(trained["base"])])) == 0
+    names = data.scan_dataset(four_classes).class_names
+    assert len(names) == 4 and persist.load(out / "adapter.ckpt").class_names == names
+    assert run(["eval", "--checkpoint", str(out / "adapter.ckpt"), "--base",
+                str(trained["base"]), "--data", str(four_classes)]) == 0
 
 
 def test_init_from_run_echoes_the_base_architecture(dataset, trained, tmp_path):

@@ -363,6 +363,16 @@ class TestHeadOnly:
         assert peft.adapters == {}
         assert set(peft.trainable_params()) == {"head.weight", "head.bias"}
 
+    @pytest.mark.parametrize("num_classes, names", [(None, list("abcd")),
+                                                    (4, list("abcd")), (9, None)])
+    def test_class_names_name_the_head(self, num_classes, names):
+        # a head for another class count drops the base's names
+        model = build_model(tiny_test_config(), seed=0, class_names=list("abcd"))
+        for peft in (head_only(model, seed=1, num_classes=num_classes),
+                     inject(model, r=2, alpha=4.0, seed=1, num_classes=num_classes)):
+            assert peft.class_names == names
+        assert model.class_names == list("abcd")
+
     def test_head_matches_inject_head(self):
         # the fresh head is seeded by (seed, 0x6EAD) alone, adapters or not
         model = build_model(tiny_test_config(), seed=0)

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -11,6 +12,7 @@ import types
 
 import numpy as np
 import pytest
+from _oracles import checkpoint_v2_bytes, save_v1
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -90,16 +92,11 @@ class TestBaseCheckpoint:
             persist.load(path)
 
     def test_unaligned_offset_rejected(self, toy_model, tmp_path):
-        # the checksum covers only the payload, so this header edit passes it
+        # re-signed, so that only the index check can reject it
         path = tmp_path / "m.ckpt"
         persist.save(toy_model, path)
-        blob = path.read_bytes()
-        header_len = int.from_bytes(blob[8:12], "little")
-        header = json.loads(blob[12:12 + header_len])
-        header["tensors"][1]["offset"] += 2
-        raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw
-                         + blob[12 + header_len:])
+        _edit_header(path, lambda header: header["tensors"][1].__setitem__(
+            "offset", header["tensors"][1]["offset"] + 2))
         with pytest.raises(CheckpointError, match="offset"):
             persist.load(path)
 
@@ -220,15 +217,21 @@ class TestAdapterCheckpoint:
                 == (tmp_path / "shared.ckpt").read_bytes())
 
 
-def _edit_header(path, edit):
-    """Rewrite a checkpoint's JSON header in place; the payload checksum does
-    not cover the header, so the file still passes it."""
+def _edit_header(path, edit, sign=True):
+    """Rewrite a checkpoint's JSON header in place. With ``sign``, re-sign
+    it, so that the file still passes the checksum and reaches the check an
+    edit targets; an edit of the checksum field itself is written as it
+    stands."""
     blob = path.read_bytes()
     n = int.from_bytes(blob[8:12], "little")
-    header = json.loads(blob[12:12 + n])
+    header, payload = json.loads(blob[12:12 + n]), blob[12 + n:]
+    saved = json.loads(blob[12:12 + n])
     edit(header)
+    if sign and header.get(persist.CHECKSUM) == saved[persist.CHECKSUM]:
+        path.write_bytes(checkpoint_v2_bytes(header, payload, saved["tensors"]))
+        return
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[12 + n:])
+    path.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw + payload)
 
 
 def _pad_payload(path, before):
@@ -246,9 +249,7 @@ def _pad_payload(path, before):
         e["offset"] += 4
     payload = payload[:at] + bytes(4) + payload[at:]
     header["payload_nbytes"] = len(payload)
-    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
-    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw + payload)
+    path.write_bytes(checkpoint_v2_bytes(header, payload, entries))
 
 
 def _overlap_head_bias(path):
@@ -311,8 +312,8 @@ def checkpoints(toy_model, tmp_path):
 
 
 class TestHeaderValidation:
-    """A header that passes the payload checksum but does not describe the
-    tensors its config implies ends in CheckpointError, never a KeyError."""
+    """A header that passes the checksum but does not describe the tensors
+    its config implies ends in CheckpointError, never a KeyError."""
 
     @pytest.mark.parametrize("kind, edit", [
         ("base", _rename("head.bias")),
@@ -336,12 +337,14 @@ class TestHeaderValidation:
 
     @pytest.mark.parametrize("edit", [
         _drop("kind"), _drop("model_config"), _drop("payload_nbytes"),
-        _drop("tensors"), _drop("payload_sha256"),
+        _drop("tensors"), _drop(persist.CHECKSUM), _drop("class_names"),
         _set("kind", 1), _set("kind", "delta"), _set("model_config", [1]),
         _set("model_config", {"dims": [8, 16, 32, 64]}), _set("tensors", {}),
         _set("tensors", [1]), _set("payload_nbytes", "800"),
-        _set("payload_sha256", None), _set("class_names", "abcd"),
-        _set("class_names", [1, 2, 3, 4]),
+        _set(persist.CHECKSUM, None), _set("class_names", "abcd"),
+        _set("class_names", [1, 2, 3, 4]), _set("format_version", 1),
+        _set("format_version", 3), _set("format_version", 2.0),
+        _set("format_version", True),
     ])
     def test_missing_or_ill_typed_header_key(self, checkpoints, edit):
         _edit_header(checkpoints["base"], edit)
@@ -420,8 +423,8 @@ def saved(tmp_path_factory):
 
 class TestLayout:
     """The index must equal save's layout, entry for entry and value for
-    value. Every edit here keeps the header well typed and the payload
-    checksum valid."""
+    value. Every edit here keeps the header well typed and the checksum
+    valid."""
 
     @pytest.mark.parametrize("kind, edit", [
         pytest.param("base", _swap_names("stem.norm.gamma", "stem.norm.beta"),
@@ -498,9 +501,7 @@ class TestLayout:
             "adapter", ModelConfig.from_dict(header["model_config"]), lora)
         payload = payload[:header["tensors"][2]["offset"]] + payload
         header["payload_nbytes"] = len(payload)
-        header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
-        raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw + payload)
+        path.write_bytes(checkpoint_v2_bytes(header, payload, header["tensors"]))
         with pytest.raises(CheckpointError, match="distinct"):
             persist.load(path)
 
@@ -521,6 +522,93 @@ class TestLayout:
         with pytest.raises(ValueError, match="shape"):
             persist.save(obj, tmp_path / "m.ckpt")
         assert list(tmp_path.iterdir()) == []
+
+
+def _regions(blob):
+    """The byte ranges of a version 2 file's magic, header length, header
+    JSON, checksum value and payload."""
+    n = int.from_bytes(blob[8:12], "little")
+    field = f'"{persist.CHECKSUM}":"'.encode()
+    at = blob.index(field, 12, 12 + n) + len(field)
+    return {"magic": (0, 8), "length": (8, 12), "header": (12, 12 + n),
+            "checksum": (at, at + 64), "payload": (12 + n, len(blob))}
+
+
+def _swap_class_names(header):
+    names = header["class_names"]
+    names[0], names[1] = names[1], names[0]
+
+
+class TestChecksum:
+    """Format version 2's checksum covers every byte of the file: the magic,
+    the header length, the header with the checksum field, and the payload.
+    Version 1 files, whose checksum covers the payload alone, still load."""
+
+    @pytest.mark.parametrize("kind", ["base", "adapter"])
+    def test_save_writes_the_defined_checksum(self, saved, kind):
+        blob = saved[kind]
+        regions = _regions(blob)
+        header = json.loads(blob[slice(*regions["header"])])
+        assert header["format_version"] == 2
+        payload = blob[slice(*regions["payload"])]
+        assert checkpoint_v2_bytes(header, payload, header["tensors"]) == blob
+
+    @pytest.mark.parametrize("kind", ["base", "adapter"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_flipped_byte_is_detected(self, saved, tmp_path_factory, kind, data):
+        blob = saved[kind]
+        regions = _regions(blob)
+        region = data.draw(st.sampled_from(sorted(regions)), label="region")
+        at = data.draw(st.integers(regions[region][0], regions[region][1] - 1), label="at")
+        bad = bytearray(blob)
+        bad[at] ^= data.draw(st.integers(1, 255), label="mask")
+        path = tmp_path_factory.getbasetemp() / f"flipped-{kind}.ckpt"
+        path.write_bytes(bytes(bad))
+        with pytest.raises(CheckpointError):
+            persist.load(path)
+
+    @pytest.mark.parametrize("kind, edit", [
+        ("base", _swap_class_names), ("base", _set("created_by", "someone else")),
+        ("adapter", _set_lora("alpha", 8.0)), ("adapter", _set_lora("dropout_p", 0.5)),
+    ])
+    def test_a_header_edit_that_keeps_it_consistent_is_detected(self, checkpoints,
+                                                                kind, edit):
+        _edit_header(checkpoints[kind], edit, sign=False)
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            persist.load(checkpoints[kind])
+
+    @pytest.mark.parametrize("kind", ["base", "adapter"])
+    def test_a_version_1_file_loads_the_same_tensors(self, toy_model, tmp_path,
+                                                     monkeypatch, started, kind):
+        obj = toy_model if kind == "base" else inject(toy_model, r=2, alpha=4.0, seed=1)
+        persist.save(obj, tmp_path / "v2.ckpt")
+        save_v1(obj, tmp_path / "v1.ckpt")
+        # above one chunk, where a version 2 load starts the hashing thread
+        monkeypatch.setattr(persist, "_CHUNK", SMALL_CHUNK)
+        v1 = persist.load(tmp_path / "v1.ckpt")
+        assert started == []
+        v2 = persist.load(tmp_path / "v2.ckpt")
+        assert v1.class_names == v2.class_names == list("abcd")
+
+        def arrays(loaded):
+            if kind == "base":
+                return {name: t.data for name, t in loaded.params.items()}
+            return loaded.tensors
+        got, want = arrays(v1), arrays(v2)
+        assert got.keys() == want.keys()
+        for name, a in got.items():
+            assert np.array_equal(a, want[name]), name
+
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_a_flipped_version_1_payload_byte_is_detected(self, toy_model, tmp_path, end):
+        path = tmp_path / "v1.ckpt"
+        save_v1(toy_model, path)
+        blob = bytearray(path.read_bytes())
+        blob[12 + int.from_bytes(blob[8:12], "little") if end == "first" else -1] ^= 0x10
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            persist.load(path)
 
 
 # not a multiple of 4, so chunks also split float32 values
@@ -652,6 +740,27 @@ class TestChunkedChecksum:
         loaded = persist.load(path)
         for name, t in toy_model.params.items():
             assert np.array_equal(loaded.params[name].data, t.data), name
+
+    def test_each_tensor_is_hashed_once_under_frequent_thread_switches(
+            self, toy_model, chunked, tmp_path, monkeypatch):
+        # a tensor claimed twice or never leaves an empty digest, which the
+        # checksum would not match
+        path, _, _ = chunked
+        hashed = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(persist.hashlib, "sha256",
+                            lambda data: hashed.append(len(data)) or sha256(data))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                hashed.clear()
+                persist.load(path)
+                assert len(hashed) == len(toy_model.params) + 1
+                persist.save(toy_model, tmp_path / "again.ckpt")
+                assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_no_thread_outlives_a_load_or_save(self, toy_model, chunked, started):
         path, _, _ = chunked

@@ -1,6 +1,7 @@
 """Tests for the optimizer, early stopping, evaluation, and cross-domain eval."""
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from convlora.data import AugmentConfig
 from convlora.errors import CompatibilityError, TrainingDiverged
 from convlora.lora import inject
 from convlora.metrics import MetricsReport
-from convlora.training import (TrainConfig, adamw_step, cross_eval, evaluate,
-                               predict, train, trainable_params)
+from convlora.training import (TrainConfig, _evaluate_with_loss, adamw_step, cross_eval,
+                               evaluate, predict, train, trainable_params)
 from convlora.tensor import Tensor
 
 
@@ -170,6 +171,47 @@ class TestTrainLoop:
             runs.append([(e.train_loss, e.val_loss, e.val_accuracy)
                          for e in history.epochs])
         assert runs[0] == runs[1]
+
+    def test_random_streams_are_disjoint(self, toy_task, monkeypatch):
+        # the shuffle, every sample's augmentation and every step's dropout
+        # draw from their own stream; SeedSequence pads keys with zeros, so
+        # the keys are compared by the pools they seed
+        seed_sequence, keys = np.random.SeedSequence, []
+
+        class Recorded(seed_sequence):
+            def __init__(self, entropy=None, **kwargs):
+                keys.append(entropy)
+                super().__init__(entropy, **kwargs)
+
+        # sample 1 trains, so its augmentation key [seed, epoch, 1] is drawn
+        manifest = replace(toy_task, samples=[replace(sample, split="train") if i == 1
+                                              else sample
+                                              for i, sample in enumerate(toy_task.samples)])
+        model = inject(build_model(tiny_test_config(), seed=7), r=2, alpha=4.0,
+                       dropout_p=0.1, seed=7)
+        monkeypatch.setattr(np.random, "SeedSequence", Recorded)
+        cfg = TrainConfig(lr=1e-3, max_epochs=2, batch_size=16, patience=5, seed=7)
+        train(model, manifest, cfg, AugmentConfig(hflip_prob=0.5, rotation_max_deg=10.0,
+                                                  resize=32))
+        n = len(manifest.indices_for("train"))
+        assert len(keys) == cfg.max_epochs * (1 + n + -(-n // cfg.batch_size))
+        pools = {tuple(seed_sequence(key).generate_state(4)) for key in keys}
+        assert len(pools) == len(keys)
+
+    # training batch sizes at which validating in them scores the 16 val
+    # images differently from eval's batches of 32
+    @pytest.mark.parametrize("adapted, batch_size", [(False, 5), (True, 2)])
+    def test_validation_scores_as_eval_does(self, toy_task, adapted, batch_size):
+        # logits depend on the batch size in their last bits, and the
+        # validation loss that picked the best epoch is eval's, to the bit
+        cfg = TrainConfig(lr=1e-3, max_epochs=2, batch_size=batch_size, patience=5, seed=7)
+        model = build_model(tiny_test_config(), seed=7)
+        if adapted:
+            model = inject(model, r=2, alpha=4.0, seed=7)
+        best, history = train(model, toy_task, cfg, AUG)
+        report, loss = _evaluate_with_loss(best, toy_task, "val", AUG, 32)
+        chosen = history.epochs[history.best_epoch - 1]
+        assert (chosen.val_loss, chosen.val_accuracy) == (loss, report.accuracy)
 
     def test_loss_decreases_on_fixed_batch(self, toy_task):
         # smoke property at the default learning rate, several seeds
